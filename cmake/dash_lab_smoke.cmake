@@ -1,8 +1,10 @@
 # dash_lab_smoke.cmake -- end-to-end shard/merge identity check, run as
 # a ctest (and by the CI smoke job). Drives the dash_lab binary through
-# every execution path over one tiny grid and asserts the exp layer's
+# the run/merge paths over one tiny grid and asserts the exp layer's
 # core guarantee: the merged document of any partition of the cells is
-# byte-identical to the single-process sequential run.
+# byte-identical to the single-process sequential run, including after
+# --resume from dropped or truncated record files. It also checks that
+# a failed output write fails the command.
 #
 #   cmake -DDASH_LAB=<path> -DWORK_DIR=<scratch dir> -P dash_lab_smoke.cmake
 if(NOT DASH_LAB OR NOT WORK_DIR)
@@ -45,33 +47,75 @@ run_lab(merge --grid ${GRID}
 assert_same(${WORK_DIR}/seq.json ${WORK_DIR}/merged.json
             "2-shard merge vs sequential")
 
-# 3. The orchestrator: two worker *processes* spawned by dash_lab
-#    itself, suites running on thread pools.
-run_lab(run --grid ${GRID} --workers 2 --shard-dir ${WORK_DIR}/shards
-        --quiet --json ${WORK_DIR}/orchestrated.json)
-assert_same(${WORK_DIR}/seq.json ${WORK_DIR}/orchestrated.json
-            "orchestrated 2-process run vs sequential")
+# 3. The whole grid streamed to a record file in one process: the
+#    document it emits alongside is the same bytes.
+run_lab(run --grid ${GRID} --quiet --out ${WORK_DIR}/all.jsonl
+        --json ${WORK_DIR}/recorded.json)
+assert_same(${WORK_DIR}/seq.json ${WORK_DIR}/recorded.json
+            "single-process run with a record file vs sequential")
 
-# 4. Resume: drop shard 1, rerun orchestrated with --resume; only the
-#    missing cells are recomputed and the bytes still match.
-file(REMOVE ${WORK_DIR}/shards/shard_1_of_2.jsonl)
-run_lab(run --grid ${GRID} --workers 2 --shard-dir ${WORK_DIR}/shards
-        --resume --quiet --json ${WORK_DIR}/resumed.json)
+# 4. Resume: drop shard 1's record file and rerun both shards with
+#    --resume. Shard 0 is complete, so it must recompute nothing (no
+#    progress lines); shard 1 recomputes everything; the merge still
+#    matches.
+file(REMOVE ${WORK_DIR}/s1.jsonl)
+execute_process(COMMAND ${DASH_LAB} run --grid ${GRID} --shard 0/2
+                --out ${WORK_DIR}/s0.jsonl --resume
+                RESULT_VARIABLE rc ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "resume of complete shard 0 failed (${rc}):\n${err}")
+endif()
+if(err MATCHES "\\[[0-9]+/[0-9]+\\]")
+  message(FATAL_ERROR "resume of a complete shard recomputed cells:\n${err}")
+endif()
+run_lab(run --grid ${GRID} --shard 1/2 --out ${WORK_DIR}/s1.jsonl --resume
+        --quiet)
+run_lab(merge --grid ${GRID}
+        --inputs ${WORK_DIR}/s0.jsonl,${WORK_DIR}/s1.jsonl
+        --quiet --json ${WORK_DIR}/resumed.json)
 assert_same(${WORK_DIR}/seq.json ${WORK_DIR}/resumed.json
-            "resumed orchestrated run vs sequential")
+            "resumed shards vs sequential")
 
 # 5. Resume after an *interrupted write*: chop the final record of
 #    shard 0 mid-line (no trailing newline); the truncated cell must be
-#    recomputed, the manifest rewritten cleanly, and the bytes still
-#    match.
-file(READ ${WORK_DIR}/shards/shard_0_of_2.jsonl shard0)
+#    recomputed, the manifest rewritten cleanly (merge rejects a
+#    malformed interior line), and the bytes still match.
+file(READ ${WORK_DIR}/s0.jsonl shard0)
 string(LENGTH "${shard0}" shard0_len)
 math(EXPR cut "${shard0_len} - 25")
 string(SUBSTRING "${shard0}" 0 ${cut} shard0)
-file(WRITE ${WORK_DIR}/shards/shard_0_of_2.jsonl "${shard0}")
-run_lab(run --grid ${GRID} --workers 2 --shard-dir ${WORK_DIR}/shards
-        --resume --quiet --json ${WORK_DIR}/resumed_truncated.json)
+file(WRITE ${WORK_DIR}/s0.jsonl "${shard0}")
+run_lab(run --grid ${GRID} --shard 0/2 --out ${WORK_DIR}/s0.jsonl --resume
+        --quiet)
+run_lab(merge --grid ${GRID}
+        --inputs ${WORK_DIR}/s0.jsonl,${WORK_DIR}/s1.jsonl
+        --quiet --json ${WORK_DIR}/resumed_truncated.json)
 assert_same(${WORK_DIR}/seq.json ${WORK_DIR}/resumed_truncated.json
             "resume after truncated shard write vs sequential")
+
+# 6. Output writes that fail (a full disk) must fail the command: every
+#    output flag, and stdout, is probed against /dev/full.
+if(EXISTS /dev/full)
+  set(TINY "name=t n=24 healer=dash scenario=paper-churn instances=1 seed=3")
+  function(expect_write_failure what)
+    execute_process(COMMAND ${DASH_LAB} ${ARGN} --quiet
+                    RESULT_VARIABLE rc ERROR_VARIABLE err
+                    OUTPUT_FILE /dev/full)
+    if(rc EQUAL 0)
+      message(FATAL_ERROR "${what} to /dev/full exited 0")
+    endif()
+    if(NOT err MATCHES "cannot write")
+      message(FATAL_ERROR "${what} to /dev/full: no write error:\n${err}")
+    endif()
+  endfunction()
+  expect_write_failure("run --json" run --grid ${TINY} --json /dev/full)
+  expect_write_failure("run --rows" run --grid ${TINY} --rows /dev/full
+                       --json ${WORK_DIR}/tiny.json)
+  expect_write_failure("run --out" run --grid ${TINY} --out /dev/full)
+  expect_write_failure("run to stdout" run --grid ${TINY})
+  expect_write_failure("merge --json" merge --grid ${GRID}
+                       --inputs ${WORK_DIR}/s0.jsonl,${WORK_DIR}/s1.jsonl
+                       --json /dev/full)
+endif()
 
 message(STATUS "dash_lab shard/merge identity OK")

@@ -1,10 +1,10 @@
-# replay_chaos_smoke.cmake -- crash-fault injection for the exp
-# orchestrator, run as a ctest (and by the CI replay-fuzz-smoke job).
-# A worker process is SIGKILLed mid-sweep (DASH_CHAOS=kill:<cell>), the
-# orchestrator must fail naming the signal, and a --resume rerun must
-# produce a BENCH document AND per-shard rows CSV byte-identical to the
-# undisturbed sequential run. A second round does the same with a torn
-# half-written record (DASH_CHAOS=torn:<cell>).
+# replay_chaos_smoke.cmake -- crash-fault injection for grid runs,
+# run as a ctest (and by the CI replay-fuzz-smoke job). A single-process
+# run streaming its records (--out) and rows (--rows) is SIGKILLed at a
+# chosen cell (--chaos kill:<cell>); a --resume rerun must produce a
+# BENCH document AND rows CSV byte-identical to the undisturbed
+# sequential run. A second round does the same with a torn half-written
+# record (--chaos torn:<cell>).
 #
 #   cmake -DDASH_LAB=<path> -DWORK_DIR=<scratch dir> -P replay_chaos_smoke.cmake
 if(NOT DASH_LAB OR NOT WORK_DIR)
@@ -36,55 +36,53 @@ endfunction()
 run_lab(run --grid ${GRID} --threads 1 --quiet
         --json ${WORK_DIR}/seq.json --rows ${WORK_DIR}/seq_rows.csv)
 
-# 2. Orchestrated run with a worker SIGKILLed at cell 2: must fail, and
-#    the error must name the killed worker's signal.
-execute_process(COMMAND ${DASH_LAB} run --grid ${GRID} --workers 2
-                --shard-dir ${WORK_DIR}/kill_shards --chaos kill:2 --quiet
+# 2. A run SIGKILLed at cell 2: must fail, with cells 0 and 1 (and
+#    no more) recorded in the resume manifest.
+execute_process(COMMAND ${DASH_LAB} run --grid ${GRID} --chaos kill:2
+                --quiet --out ${WORK_DIR}/kill.jsonl
                 --json ${WORK_DIR}/kill.json --rows ${WORK_DIR}/kill_rows.csv
                 RESULT_VARIABLE rc ERROR_VARIABLE err)
 if(rc EQUAL 0)
   message(FATAL_ERROR "chaos kill:2 run unexpectedly succeeded")
 endif()
-if(NOT err MATCHES "killed by signal 9")
-  message(FATAL_ERROR "orchestrator did not name the fatal signal:\n${err}")
-endif()
-if(NOT err MATCHES "--resume")
-  message(FATAL_ERROR "failure message does not point at --resume:\n${err}")
+file(STRINGS ${WORK_DIR}/kill.jsonl kill_records)
+list(LENGTH kill_records kill_count)
+if(NOT kill_count EQUAL 2)
+  message(FATAL_ERROR "kill:2 left ${kill_count} records, expected 2")
 endif()
 
-# 3. Resume with chaos disarmed: only the missing cells are recomputed;
+# 3. Resume without chaos: only the missing cells are recomputed;
 #    document and rows must be byte-identical to the sequential run.
-run_lab(run --grid ${GRID} --workers 2 --shard-dir ${WORK_DIR}/kill_shards
-        --resume --quiet
+run_lab(run --grid ${GRID} --resume --quiet --out ${WORK_DIR}/kill.jsonl
         --json ${WORK_DIR}/kill_resumed.json
-        --rows ${WORK_DIR}/kill_resumed_rows.csv)
+        --rows ${WORK_DIR}/kill_rows.csv)
 assert_same(${WORK_DIR}/seq.json ${WORK_DIR}/kill_resumed.json
             "resumed-after-kill document vs sequential")
-assert_same(${WORK_DIR}/seq_rows.csv ${WORK_DIR}/kill_resumed_rows.csv
+assert_same(${WORK_DIR}/seq_rows.csv ${WORK_DIR}/kill_rows.csv
             "resumed-after-kill rows vs sequential")
 
-# 4. Torn write: the worker flushes half a record line (no newline)
-#    before dying. The shard loader's truncated-final-line recovery
-#    must eat it on resume and the bytes must still match. (--rows is
-#    passed on both runs: resume keeps completed cells' rows from the
-#    first run's rows files rather than recomputing them.)
-execute_process(COMMAND ${DASH_LAB} run --grid ${GRID} --workers 2
-                --shard-dir ${WORK_DIR}/torn_shards --chaos torn:1 --quiet
+# 4. Torn write: the run flushes half of cell 1's record line (no
+#    newline) before dying. The record loader's truncated-final-line
+#    recovery must eat it on resume and the bytes must still match.
+#    (--rows is passed on both runs: resume keeps completed cells' rows
+#    from the first run's rows file rather than recomputing them.)
+execute_process(COMMAND ${DASH_LAB} run --grid ${GRID} --chaos torn:1
+                --quiet --out ${WORK_DIR}/torn.jsonl
                 --json ${WORK_DIR}/torn.json --rows ${WORK_DIR}/torn_rows.csv
                 RESULT_VARIABLE rc ERROR_VARIABLE err)
 if(rc EQUAL 0)
   message(FATAL_ERROR "chaos torn:1 run unexpectedly succeeded")
 endif()
-if(NOT err MATCHES "killed by signal 9")
-  message(FATAL_ERROR "torn-write worker death not reported:\n${err}")
+file(READ ${WORK_DIR}/torn.jsonl torn)
+if(torn MATCHES "\n$")
+  message(FATAL_ERROR "torn:1 left no torn final line:\n${torn}")
 endif()
-run_lab(run --grid ${GRID} --workers 2 --shard-dir ${WORK_DIR}/torn_shards
-        --resume --quiet
+run_lab(run --grid ${GRID} --resume --quiet --out ${WORK_DIR}/torn.jsonl
         --json ${WORK_DIR}/torn_resumed.json
-        --rows ${WORK_DIR}/torn_resumed_rows.csv)
+        --rows ${WORK_DIR}/torn_rows.csv)
 assert_same(${WORK_DIR}/seq.json ${WORK_DIR}/torn_resumed.json
             "resumed-after-torn document vs sequential")
-assert_same(${WORK_DIR}/seq_rows.csv ${WORK_DIR}/torn_resumed_rows.csv
+assert_same(${WORK_DIR}/seq_rows.csv ${WORK_DIR}/torn_rows.csv
             "resumed-after-torn rows vs sequential")
 
 message(STATUS "chaos kill/torn + resume identity OK")

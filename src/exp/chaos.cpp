@@ -1,7 +1,6 @@
 #include "exp/chaos.h"
 
 #include <csignal>
-#include <cstdlib>
 #include <ostream>
 #include <stdexcept>
 
@@ -35,12 +34,6 @@ ChaosPlan parse_chaos(const std::string& spec) {
   }
   plan.cell = cell;
   return plan;
-}
-
-ChaosPlan chaos_from_env() {
-  const char* env = std::getenv(kChaosEnv);
-  if (env == nullptr || env[0] == '\0') return ChaosPlan{};
-  return parse_chaos(env);
 }
 
 void chaos_strike(const ChaosPlan& plan, std::size_t cell,

@@ -1,22 +1,20 @@
-// chaos.h -- environment-driven crash-fault injection for orchestrated
-// sweeps.
+// chaos.h -- crash-fault injection for grid runs.
 //
 // The resilience story of the exp layer (per-cell shard records as
 // resume manifests, truncated-final-line tolerance, byte-stable
-// merges) is only trustworthy if workers actually die mid-sweep in
-// tests. A chaos plan, armed through the DASH_CHAOS environment
-// variable (which fork/exec'd orchestrate workers inherit), makes a
-// worker abort deterministically at a chosen cell:
+// merges) is only trustworthy if runs actually die mid-sweep in tests.
+// A chaos plan, passed as `--chaos` to `dash_lab run` (or to a fleet
+// agent), makes the process abort deterministically at a chosen cell:
 //
-//   DASH_CHAOS=kill:<cell>   SIGKILL before the cell's record is
-//                            written (rows for the cell may already
-//                            be on disk -- resume recomputes them);
-//   DASH_CHAOS=torn:<cell>   flush half the record line, no newline,
-//                            then SIGKILL -- the torn-write shape the
-//                            shard loader's recovery path must eat.
+//   kill:<cell>   SIGKILL before the cell's record is written (rows
+//                 for the cell may already be on disk -- resume
+//                 recomputes them);
+//   torn:<cell>   flush half the record line, no newline, then
+//                 SIGKILL -- the torn-write shape the shard loader's
+//                 recovery path must eat.
 //
 // The strike happens at most once per process (the targeted cell), so
-// a --resume rerun with the variable cleared finishes the sweep.
+// a --resume rerun without --chaos finishes the sweep.
 #pragma once
 
 #include <cstddef>
@@ -24,9 +22,6 @@
 #include <string>
 
 namespace dash::exp {
-
-/// Environment variable consulted by chaos_from_env().
-inline constexpr char kChaosEnv[] = "DASH_CHAOS";
 
 struct ChaosPlan {
   enum class Kind { kNone, kKill, kTorn };
@@ -38,9 +33,6 @@ struct ChaosPlan {
 /// Parse "kill:<cell>" / "torn:<cell>" (empty -> unarmed plan).
 /// Throws std::invalid_argument on anything else.
 ChaosPlan parse_chaos(const std::string& spec);
-
-/// The plan from $DASH_CHAOS; unarmed when unset or empty.
-ChaosPlan chaos_from_env();
 
 /// Abort the process if `plan` targets `cell`: kKill dies before any
 /// byte of `record_line` reaches `out`; kTorn writes the first half of

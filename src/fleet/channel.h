@@ -104,6 +104,11 @@ class Listener {
   /// Accept one pending connection (call after poll says readable).
   Channel accept();
 
+  /// Stop listening: close the socket, which resets connections still
+  /// waiting in the accept backlog, and remove a unix socket file.
+  /// Idempotent; the destructor calls it.
+  void close();
+
  private:
   int fd_ = -1;
   Endpoint endpoint_;

@@ -59,8 +59,9 @@ Endpoint resolve_listen(const CoordinatorOptions& o) {
 /// inherited by a spawned agent keeps writing position shared across
 /// processes *and* holds the file open past coordinator restart, so
 /// the manifest a --resume reads could still be growing. Every line is
-/// a full write(2): each committed record is durable in the spool the
-/// moment commit() returns, which is the resume contract.
+/// a full write(2), and commit() checks that it landed: each committed
+/// record is durable in the spool the moment commit() returns, which is
+/// the resume contract.
 class SpoolFile {
  public:
   SpoolFile() = default;
@@ -70,6 +71,7 @@ class SpoolFile {
 
   void open(const std::string& path) {
     close();
+    path_ = path;
     fd_ = ::open(path.c_str(),
                  O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
     ok_ = fd_ >= 0;
@@ -94,8 +96,10 @@ class SpoolFile {
     }
   }
 
-  bool ok() const { return ok_; }
-  int fd() const { return fd_; }
+  /// Throw naming the spool unless every line so far was written.
+  void check() const {
+    if (!ok_) throw std::runtime_error("cannot write spool " + path_);
+  }
 
   void close() {
     if (fd_ >= 0) ::close(fd_);
@@ -103,6 +107,7 @@ class SpoolFile {
   }
 
  private:
+  std::string path_;
   int fd_ = -1;
   bool ok_ = true;
 };
@@ -247,8 +252,10 @@ struct Coordinator::Impl {
         rows_out.write_line(line);
       }
       c.staged.erase(staged);
+      rows_out.check();
     }
     records_out.write_line(exp::shard_line(rec));
+    records_out.check();
     done.emplace(cell, rec.group_json);
     records.push_back(std::move(rec));
     running.erase(cell);
@@ -410,18 +417,12 @@ struct Coordinator::Impl {
     for (const exp::ShardRecord& rec : records) {
       records_out.write_line(exp::shard_line(rec));
     }
-    if (!records_out.ok()) {
-      throw std::runtime_error("cannot write spool " +
-                               records_path(opt.state_dir));
-    }
+    records_out.check();
     if (opt.rows) {
       rows_out.open(rows_path(opt.state_dir));
       rows_out.write_line(exp::rows_header());
       for (const exp::RowsRecord& row : rows) rows_out.write_line(row.line);
-      if (!rows_out.ok()) {
-        throw std::runtime_error("cannot write spool " +
-                                 rows_path(opt.state_dir));
-      }
+      rows_out.check();
     }
   }
 
@@ -540,7 +541,19 @@ const Endpoint& Coordinator::endpoint() const {
   return impl_->listener.endpoint();
 }
 
-FleetReport Coordinator::run() { return impl_->run(); }
+FleetReport Coordinator::run() {
+  // However run() ends -- grid complete, checkpoint or error -- hang up
+  // on every agent, including those still in the accept backlog, so
+  // none waits on a coordinator that has stopped serving.
+  struct HangUp {
+    Impl& impl;
+    ~HangUp() {
+      impl.conns.clear();
+      impl.listener.close();
+    }
+  } hang_up{*impl_};
+  return impl_->run();
+}
 
 std::string Coordinator::records_path(const std::string& state_dir) {
   return state_dir + "/records.jsonl";

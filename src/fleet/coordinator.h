@@ -90,8 +90,11 @@ class Coordinator {
   /// Serve until every cell is committed (returns a complete report
   /// with the merged document) or stop_after newly committed cells
   /// (returns complete == false; the spool holds the checkpoint).
-  /// Throws std::runtime_error on listener failure and
-  /// std::invalid_argument on spec/manifest problems.
+  /// On return or throw, every agent connection -- accepted or still
+  /// in the backlog -- is closed and the listener with it.
+  /// Throws std::runtime_error on listener failure or a spool write
+  /// that did not land (naming the spool), and std::invalid_argument
+  /// on spec/manifest problems.
   FleetReport run();
 
   /// Spool paths inside a state dir (shared with the CLI and tests).

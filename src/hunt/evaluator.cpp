@@ -5,11 +5,8 @@
 #include <charconv>
 #include <filesystem>
 #include <stdexcept>
-#include <thread>
 
 #include "exp/runner.h"
-#include "fleet/agent.h"
-#include "fleet/coordinator.h"
 #include "util/check.h"
 #include "util/csv.h"
 #include "util/registry.h"
@@ -43,9 +40,9 @@ double parse_weight(const std::string& text) {
 // ---- BENCH group byte mining ------------------------------------------
 //
 // Fitness is parsed straight from the group's JSON bytes rather than
-// from in-memory Metrics, because the fleet backend only hands back
-// bytes -- and identical bytes in every backend is exactly the property
-// that makes sequential / threaded / fleet hunts byte-identical.
+// from in-memory Metrics, because the spool only keeps bytes -- and
+// identical bytes at every pool width is exactly the property that
+// makes sequential / threaded / resumed hunts byte-identical.
 
 /// Top-level JSON objects of `body` (a comma-separated object list),
 /// string- and escape-aware.
@@ -312,9 +309,7 @@ void Evaluator::compute(const std::vector<std::string>& specs) {
   const exp::ExperimentSpec spec = base_spec(specs);
   // Cell enumeration is healer-major (family x n are singletons):
   // group index = healer * |specs| + spec.
-  const std::vector<std::string> groups = cfg_.fleet_agents > 0
-                                              ? run_fleet_grid(spec)
-                                              : run_grid(spec);
+  const std::vector<std::string> groups = run_grid(spec);
   DASH_CHECK_MSG(groups.size() == cfg_.healers.size() * specs.size(),
                  "hunt grid returned a wrong-shaped group list");
   double batch_best = kUnscored;
@@ -345,65 +340,6 @@ std::vector<std::string> Evaluator::run_grid(
   groups.reserve(results.size());
   for (const exp::CellResult& r : results) groups.push_back(r.group_json);
   return groups;
-}
-
-std::vector<std::string> Evaluator::run_fleet_grid(
-    const exp::ExperimentSpec& spec) {
-  namespace fs = std::filesystem;
-  // Each batch gets a throwaway fleet spool (the hunt spool is the
-  // durable one); batches are sequential so the counter suffices.
-  const std::string base =
-      cfg_.state_dir.empty()
-          ? (fs::temp_directory_path() / "dash_hunt_fleet").string()
-          : cfg_.state_dir + "/fleet";
-  const std::string dir = base + "_batch" + std::to_string(fleet_batch_++);
-  fs::remove_all(dir);
-  fleet::CoordinatorOptions copt;
-  copt.state_dir = dir;
-  copt.progress = [](const std::string&) {};
-  fleet::Coordinator coord(spec, copt);
-  const std::string endpoint = coord.endpoint().spec();
-  std::vector<std::thread> agents;
-  agents.reserve(cfg_.fleet_agents);
-  for (std::size_t i = 0; i < cfg_.fleet_agents; ++i) {
-    agents.emplace_back([&spec, endpoint, i]() {
-      fleet::AgentOptions aopt;
-      aopt.connect = endpoint;
-      aopt.name = "hunt-agent-" + std::to_string(i);
-      aopt.threads = 1;
-      aopt.progress = [](const std::string&) {};
-      try {
-        fleet::run_agent(spec, aopt);
-      } catch (...) {
-        // A dying agent only slows the batch down; the coordinator
-        // reassigns its lease and the grid still completes.
-      }
-    });
-  }
-  fleet::FleetReport report;
-  try {
-    report = coord.run();
-  } catch (...) {
-    for (std::thread& t : agents) t.join();
-    throw;
-  }
-  for (std::thread& t : agents) t.join();
-  std::error_code ec;
-  fs::remove_all(dir, ec);
-  if (!report.complete) {
-    throw std::runtime_error("hunt fleet batch did not complete");
-  }
-  // Peel the merged document -- byte-identical to a sequential run --
-  // back into its per-cell groups.
-  static const std::string kPrefix = "{\"groups\":[";
-  static const std::string kSuffix = "]}\n";
-  DASH_CHECK_MSG(report.document.size() >= kPrefix.size() + kSuffix.size() &&
-                     report.document.compare(0, kPrefix.size(), kPrefix) == 0,
-                 "malformed fleet BENCH document");
-  const std::string body = report.document.substr(
-      kPrefix.size(),
-      report.document.size() - kPrefix.size() - kSuffix.size());
-  return split_objects(body);
 }
 
 double Evaluator::score_groups(

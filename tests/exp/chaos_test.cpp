@@ -1,5 +1,5 @@
-// Chaos-plan tests: spec parsing, env arming, the no-op paths of
-// chaos_strike, and worker-status formatting. The lethal paths (a
+// Chaos-plan tests: spec parsing, the no-op paths of chaos_strike,
+// and child-process status formatting. The lethal paths (a
 // strike actually delivering SIGKILL, torn half-line writes recovered
 // by --resume) are exercised end-to-end by the replay_chaos smoke.
 #include "exp/chaos.h"
@@ -7,12 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <csignal>
-#include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
 
-#include "exp/orchestrator.h"
+#include "exp/process.h"
 
 namespace dash::exp {
 namespace {
@@ -39,16 +38,6 @@ TEST(Chaos, RejectsMalformedSpecs) {
   EXPECT_THROW(parse_chaos("kill:-1"), std::invalid_argument);
   EXPECT_THROW(parse_chaos("maim:3"), std::invalid_argument);
   EXPECT_THROW(parse_chaos(":3"), std::invalid_argument);
-}
-
-TEST(Chaos, EnvUnsetIsUnarmed) {
-  ::unsetenv(kChaosEnv);
-  EXPECT_FALSE(chaos_from_env().armed());
-  ::setenv(kChaosEnv, "torn:4", 1);
-  const ChaosPlan plan = chaos_from_env();
-  ::unsetenv(kChaosEnv);
-  EXPECT_EQ(plan.kind, ChaosPlan::Kind::kTorn);
-  EXPECT_EQ(plan.cell, 4u);
 }
 
 TEST(Chaos, StrikeIsNoOpWhenUnarmedOrOffTarget) {
@@ -92,32 +81,25 @@ TEST(ChaosDeathTest, TornStrikeWritesHalfThenDies) {
 
 TEST(Chaos, WorkerStatusDescribes) {
   WorkerStatus ok;
-  ok.shard = 0;
-  ok.count = 2;
   ok.exited = true;
   ok.exit_code = 0;
   EXPECT_TRUE(ok.ok());
-  EXPECT_EQ(ok.describe(), "shard 0/2: ok");
+  EXPECT_EQ(ok.describe(), "ok");
 
   WorkerStatus bad = ok;
-  bad.shard = 1;
   bad.exit_code = 2;
   EXPECT_FALSE(bad.ok());
-  EXPECT_EQ(bad.describe(), "shard 1/2: exit 2");
+  EXPECT_EQ(bad.describe(), "exit 2");
 
   WorkerStatus killed;
-  killed.shard = 1;
-  killed.count = 4;
   killed.signaled = true;
   killed.signal_no = SIGKILL;
   EXPECT_FALSE(killed.ok());
-  EXPECT_EQ(killed.describe(), "shard 1/4: killed by signal 9 (Killed)");
+  EXPECT_EQ(killed.describe(), "killed by signal 9 (Killed)");
 
   WorkerStatus lost;
-  lost.shard = 3;
-  lost.count = 4;
   EXPECT_FALSE(lost.ok());
-  EXPECT_EQ(lost.describe(), "shard 3/4: wait failed");
+  EXPECT_EQ(lost.describe(), "wait failed");
 }
 
 }  // namespace

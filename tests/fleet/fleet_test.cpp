@@ -2,10 +2,12 @@
 // to live agents over real sockets must merge to the byte-exact
 // document (and rows CSV) a sequential exp::run produces -- through
 // handshake rejections, silent agents whose leases expire, duplicate
-// results, checkpoint/resume, and an agent SIGKILLed mid-cell.
+// results, checkpoint/resume, an agent SIGKILLed mid-cell, agents left
+// in the accept backlog, and a spool that stops taking writes.
 #include "fleet/coordinator.h"
 
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -448,6 +450,69 @@ TEST(Fleet, TornResultFrameCountsAsDeathNotCorruptState) {
   EXPECT_GE(report.reassigned, 1u);
   EXPECT_EQ(report.duplicates, 0u);
   EXPECT_EQ(report.document, expected.document);
+}
+
+TEST(Fleet, FinishedRunHangsUpOnAgentsStillInTheAcceptBacklog) {
+  const auto spec = fleet_spec();
+  const std::string dir = fresh_state_dir("backlog");
+
+  // A complete manifest: resume finds nothing to do, so run() returns
+  // without accepting a single connection.
+  std::filesystem::create_directories(dir);
+  {
+    exp::RunnerOptions opt;
+    opt.threads = 1;
+    std::ofstream out(Coordinator::records_path(dir));
+    for (const exp::CellResult& r : exp::run(spec, opt)) {
+      out << exp::shard_line(exp::to_record(spec, r)) << "\n";
+    }
+  }
+  CoordinatorOptions copt;
+  copt.state_dir = dir;
+  copt.resume = true;
+  copt.progress = quiet;
+  Coordinator coord(spec, copt);
+  Channel late = connect_channel(coord.endpoint());
+  ASSERT_TRUE(late.send(make_hello(spec.hash(), "late")));
+  const FleetReport report = coord.run();
+  EXPECT_TRUE(report.complete);
+  EXPECT_EQ(report.resumed, report.cells);
+
+  // The coordinator object is still alive but no longer serving: the
+  // unaccepted agent must see its connection end instead of waiting
+  // for a WELCOME forever (a local agent `serve` then could not reap).
+  pollfd pfd{late.fd(), POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 10000), 1);
+  EXPECT_FALSE(late.recv().has_value());
+}
+
+TEST(Fleet, SpoolWriteFailureFailsTheServeNamingTheSpool) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const auto spec = fleet_spec();
+  const std::string dir = fresh_state_dir("full");
+  std::filesystem::create_directories(dir);
+  const std::string spool = Coordinator::records_path(dir);
+  std::filesystem::create_symlink("/dev/full", spool);
+
+  // Every write to the manifest fails with ENOSPC: the first commit
+  // must fail the serve instead of finishing with a manifest that a
+  // --resume would find empty.
+  CoordinatorOptions copt;
+  copt.state_dir = dir;
+  copt.progress = quiet;
+  std::string error;
+  std::thread worker;
+  {
+    Coordinator coord(spec, copt);
+    worker = agent_thread(spec, coord.endpoint().spec(), "w");
+    try {
+      coord.run();
+    } catch (const std::runtime_error& e) {
+      error = e.what();
+    }
+  }  // closing the coordinator hangs up on the agent
+  worker.join();
+  EXPECT_NE(error.find(spool), std::string::npos) << "error: " << error;
 }
 
 }  // namespace

@@ -1,22 +1,21 @@
-// dash_lab.cpp -- unified experiment-orchestration CLI over the exp
-// layer: describe a sweep once (spec file or one-line grid), then run
-// it sequentially, sharded across worker processes, or shard-by-shard
-// on different machines, and merge the per-shard records back into the
-// single BENCH_*.json document a sequential run would have written --
-// byte-identical, whichever path produced it.
+// dash_lab.cpp -- unified experiment CLI over the exp layer: describe a
+// sweep once (spec file or one-line grid), then run it in one process
+// (suites fanned out on its thread pool), as a fleet across processes
+// and machines (serve/agent, below), or shard-by-shard where no
+// coordinator socket is reachable, and merge the per-shard records
+// back into the single BENCH_*.json document a sequential run would
+// have written -- byte-identical, whichever path produced it.
 //
 //   dash_lab list-cells --grid 'n=64|128 healer=dash|sdash scenario=paper-churn'
 //   dash_lab run  --spec sweep.spec --json BENCH_sweep.json
-//   dash_lab run  --spec sweep.spec --workers 4 --json BENCH_sweep.json
 //   dash_lab run  --spec sweep.spec --shard 0/2 --out shards/s0.jsonl
 //   dash_lab run  --spec sweep.spec --shard 1/2 --out shards/s1.jsonl
 //   dash_lab merge --spec sweep.spec --json BENCH_sweep.json
 //       --inputs shards/s0.jsonl,shards/s1.jsonl
 //
-// Shard record files double as resume manifests: re-running with
-// --resume skips every cell already recorded (the orchestrator
-// forwards the flag to its workers), so an interrupted sweep finishes
-// from where it stopped instead of recomputing.
+// Record files (--out) double as resume manifests: re-running with
+// --resume skips every cell already recorded, so an interrupted sweep
+// finishes from where it stopped instead of recomputing.
 //
 // The replay verbs capture and re-execute single runs:
 //
@@ -27,7 +26,7 @@
 //   dash_lab fuzz   --trace run.trace --mutants 50
 //
 // and --chaos kill:<cell> / torn:<cell> on run arms the exp layer's
-// crash-fault injector (DASH_CHAOS) so resume paths stay honest.
+// crash-fault injector so resume paths stay honest.
 //
 // The fleet verbs run a grid as a coordinator/agent service with a
 // work-stealing cell queue (src/fleet/):
@@ -45,7 +44,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <set>
@@ -59,7 +57,7 @@
 #include "api/scenario.h"
 #include "api/serve_bench.h"
 #include "exp/chaos.h"
-#include "exp/orchestrator.h"
+#include "exp/process.h"
 #include "exp/runner.h"
 #include "exp/spec.h"
 #include "fleet/agent.h"
@@ -84,11 +82,9 @@ struct LabOptions {
   std::string spec_path;   ///< --spec FILE
   std::string grid;        ///< --grid "one-line spec"
   std::string shard;       ///< --shard I/N
-  std::string out;         ///< --out shard record file
+  std::string out;         ///< --out record file (resume manifest)
   std::string json;        ///< --json merged document path
   std::string inputs;      ///< --inputs comma-separated shard files
-  std::string shard_dir = "dash_lab_shards";
-  std::uint64_t workers = 0;
   std::uint64_t threads = 0;
   bool resume = false;
   bool quiet = false;
@@ -129,7 +125,6 @@ struct LabOptions {
   std::string trace_dir;                 ///< hunt --trace-dir
   std::uint64_t budget = 200;            ///< hunt --budget
   std::uint64_t top = 3;                 ///< hunt --top
-  std::uint64_t fleet = 0;               ///< hunt --fleet
   std::uint64_t instances = 2;           ///< hunt --instances
   std::uint64_t stretch_every = 0;       ///< hunt --stretch-every
   // list-cells
@@ -144,9 +139,8 @@ int usage(std::FILE* to) {
       "replay|fuzz|hunt> [options]\n"
       "\n"
       "subcommands:\n"
-      "  run         execute the grid: sequentially, as one shard\n"
-      "              (--shard I/N --out FILE), or across worker\n"
-      "              processes (--workers N)\n"
+      "  run         execute the grid in this process: all of it, or\n"
+      "              one shard (--shard I/N --out FILE) for merge\n"
       "  merge       reassemble shard record files (--inputs a,b,...)\n"
       "              into the single BENCH_*.json document\n"
       "  list-cells  print the grid's deterministic cell enumeration\n"
@@ -220,20 +214,41 @@ std::vector<std::string> split_commas(const std::string& s) {
   return out;
 }
 
+/// Flush `out` and throw naming `path` unless every byte written to it
+/// so far landed: a full disk must fail the command, not pass for
+/// success. Every output file of the grid verbs is checked through
+/// here.
+void flush_checked(std::ostream& out, const std::string& path) {
+  out.flush();
+  if (!out) throw std::runtime_error("cannot write '" + path + "'");
+}
+
+/// Replace the file at `path` with `content`.
+void write_file(const std::string& path, const std::string& content) {
+  std::ofstream out(path, std::ios::trunc);
+  out << content;
+  flush_checked(out, path);
+}
+
 /// Write the merged document to --json, or stdout without it.
 void emit_document(const LabOptions& opt, const std::string& doc) {
   if (opt.json.empty()) {
     std::cout << doc;
+    flush_checked(std::cout, "<stdout>");
     return;
   }
-  std::ofstream out(opt.json);
-  if (!out) {
-    throw std::runtime_error("cannot open --json path '" + opt.json + "'");
-  }
-  out << doc;
+  write_file(opt.json, doc);
   if (!opt.quiet) {
     std::fprintf(stderr, "merged summary written to %s\n",
                  opt.json.c_str());
+  }
+}
+
+/// Write a merged rows document to --rows.
+void emit_rows(const LabOptions& opt, const std::string& rows) {
+  write_file(opt.rows, rows);
+  if (!opt.quiet) {
+    std::fprintf(stderr, "merged rows written to %s\n", opt.rows.c_str());
   }
 }
 
@@ -286,9 +301,11 @@ int cmd_list_cells(const LabOptions& opt) {
   return 0;
 }
 
-/// In-process execution of one shard (the worker side of the
-/// orchestrator, and the whole grid when no --shard was given).
-int cmd_run_in_process(const LabOptions& opt, const ExperimentSpec& spec) {
+/// Execute the grid in this process: the whole of it, or one shard
+/// (--shard I/N --out FILE) for `merge` to reassemble.
+int cmd_run(const LabOptions& opt) {
+  const ExperimentSpec spec = load_spec(opt);
+  const dash::exp::ChaosPlan chaos = dash::exp::parse_chaos(opt.chaos);
   dash::exp::RunnerOptions ropt;
   if (!opt.shard.empty()) parse_shard(opt.shard, &ropt.shard);
   ropt.threads = static_cast<std::size_t>(opt.threads);
@@ -328,13 +345,10 @@ int cmd_run_in_process(const LabOptions& opt, const ExperimentSpec& spec) {
     // have left a truncated, newline-less final line that plain append
     // would concatenate the next record onto.
     shard_out.open(opt.out, std::ios::trunc);
-    if (!shard_out) {
-      throw std::runtime_error("cannot open --out path '" + opt.out + "'");
-    }
     for (const auto& record : records) {
       shard_out << dash::exp::shard_line(record) << "\n";
     }
-    shard_out.flush();
+    flush_checked(shard_out, opt.out);
   }
 
   // Per-round rows: stream per finished cell (kept cells' rows carry
@@ -350,13 +364,9 @@ int cmd_run_in_process(const LabOptions& opt, const ExperimentSpec& spec) {
       }
     }
     rows_out.open(opt.rows, std::ios::trunc);
-    if (!rows_out) {
-      throw std::runtime_error("cannot open --rows path '" + opt.rows +
-                               "'");
-    }
     rows_out << dash::exp::rows_header() << "\n";
     for (const auto& row : rows_records) rows_out << row.line << "\n";
-    rows_out.flush();
+    flush_checked(rows_out, opt.rows);
     ropt.on_rows = [&](const Cell& cell,
                        const std::vector<dash::api::RoundRow>& rows) {
       for (const auto& row : rows) {
@@ -368,24 +378,23 @@ int cmd_run_in_process(const LabOptions& opt, const ExperimentSpec& spec) {
         rows_out << rec.line << "\n";
         rows_records.push_back(std::move(rec));
       }
-      rows_out.flush();  // rows land before the cell's record
+      flush_checked(rows_out, opt.rows);  // rows land before the record
     };
   }
 
-  const dash::exp::ChaosPlan chaos = dash::exp::chaos_from_env();
   const std::size_t total = spec.enumerate().size();
   ropt.on_cell = [&](const dash::exp::CellResult& result) {
-    const std::string line =
-        dash::exp::shard_line(dash::exp::to_record(spec, result));
+    dash::exp::ShardRecord record = dash::exp::to_record(spec, result);
+    const std::string line = dash::exp::shard_line(record);
     if (shard_out.is_open()) {
       dash::exp::chaos_strike(chaos, result.cell.index, shard_out, line);
       shard_out << line << "\n";
-      shard_out.flush();  // every finished cell survives an interrupt
+      flush_checked(shard_out, opt.out);  // finished cells survive a kill
     } else if (chaos.armed()) {
       std::ostringstream devnull;  // no record file: torn degrades to kill
       dash::exp::chaos_strike(chaos, result.cell.index, devnull, line);
     }
-    records.push_back(dash::exp::to_record(spec, result));
+    records.push_back(std::move(record));
     if (!opt.quiet) {
       std::fprintf(stderr, "  [%zu/%zu] n=%zu healer=%s scenario=%s\n",
                    result.cell.index + 1, total, result.cell.n,
@@ -397,12 +406,7 @@ int cmd_run_in_process(const LabOptions& opt, const ExperimentSpec& spec) {
 
   if (rows_out.is_open()) {
     rows_out.close();
-    std::ofstream canonical(opt.rows, std::ios::trunc);
-    if (!canonical) {
-      throw std::runtime_error("cannot rewrite --rows path '" + opt.rows +
-                               "'");
-    }
-    canonical << dash::exp::merged_rows(std::move(rows_records));
+    write_file(opt.rows, dash::exp::merged_rows(std::move(rows_records)));
   }
 
   // A full in-process grid can emit the merged document directly; a
@@ -411,54 +415,6 @@ int cmd_run_in_process(const LabOptions& opt, const ExperimentSpec& spec) {
   if (ropt.shard.count == 1 && (!opt.json.empty() || opt.out.empty())) {
     emit_document(opt, dash::exp::merged_document(spec, records));
   }
-  return 0;
-}
-
-int cmd_run(const LabOptions& opt, const char* argv0) {
-  const ExperimentSpec spec = load_spec(opt);
-  if (!opt.chaos.empty()) {
-    dash::exp::parse_chaos(opt.chaos);  // validate before arming
-    ::setenv(dash::exp::kChaosEnv, opt.chaos.c_str(), 1);
-  }
-  if (opt.workers == 0) return cmd_run_in_process(opt, spec);
-
-  if (!opt.shard.empty() || !opt.out.empty()) {
-    throw std::invalid_argument(
-        "--workers spawns its own shards; drop --shard/--out");
-  }
-  dash::exp::OrchestrateOptions oopt;
-  oopt.exe = dash::exp::current_executable(argv0);
-  oopt.spec_args = opt.spec_path.empty()
-                       ? std::vector<std::string>{"--grid", opt.grid}
-                       : std::vector<std::string>{"--spec", opt.spec_path};
-  if (opt.quiet) oopt.spec_args.push_back("--quiet");
-  oopt.workers = static_cast<std::size_t>(opt.workers);
-  oopt.shard_dir = opt.shard_dir;
-  oopt.resume = opt.resume;
-  oopt.threads = static_cast<std::size_t>(opt.threads);
-  oopt.rows = !opt.rows.empty();
-  dash::exp::OrchestrateResult result;
-  try {
-    result = dash::exp::orchestrate(spec, oopt);
-  } catch (const dash::exp::OrchestrateError& e) {
-    for (const auto& worker : e.workers()) {
-      std::fprintf(stderr, "  worker %s\n", worker.describe().c_str());
-    }
-    throw;
-  }
-  if (!opt.rows.empty()) {
-    std::ofstream rows_out(opt.rows, std::ios::trunc);
-    if (!rows_out) {
-      throw std::runtime_error("cannot open --rows path '" + opt.rows +
-                               "'");
-    }
-    rows_out << result.rows;
-    if (!opt.quiet) {
-      std::fprintf(stderr, "merged rows written to %s\n",
-                   opt.rows.c_str());
-    }
-  }
-  emit_document(opt, result.document);
   return 0;
 }
 
@@ -485,16 +441,7 @@ int cmd_merge(const LabOptions& opt) {
                   std::make_move_iterator(shard_rows.begin()),
                   std::make_move_iterator(shard_rows.end()));
     }
-    std::ofstream rows_out(opt.rows, std::ios::trunc);
-    if (!rows_out) {
-      throw std::runtime_error("cannot open --rows path '" + opt.rows +
-                               "'");
-    }
-    rows_out << dash::exp::merged_rows(std::move(rows));
-    if (!opt.quiet) {
-      std::fprintf(stderr, "merged rows written to %s\n",
-                   opt.rows.c_str());
-    }
+    emit_rows(opt, dash::exp::merged_rows(std::move(rows)));
   }
   emit_document(opt, dash::exp::merged_document(spec, records));
   return 0;
@@ -525,9 +472,9 @@ int cmd_serve(const LabOptions& opt, const char* argv0) {
     std::fprintf(stderr, "fleet: listening at %s\n", endpoint.c_str());
   }
 
-  // Local agents, orchestrate-style (fork + exec of this binary). Any
-  // chaos plan arms agent 0 *only*: agents inheriting the same plan
-  // would all die at the reassigned cell, forever.
+  // Local agents: fork + exec of this binary. Any chaos plan arms
+  // agent 0 *only*: agents given the same plan would all die at the
+  // reassigned cell, forever.
   std::vector<pid_t> pids;
   if (opt.agents > 0) {
     std::size_t agent_threads = static_cast<std::size_t>(opt.threads);
@@ -559,25 +506,27 @@ int cmd_serve(const LabOptions& opt, const char* argv0) {
     }
   }
 
-  const dash::fleet::FleetReport report = coordinator.run();
-
   // Reap local agents; their fates are informational (a chaos-killed
   // agent is the point of the exercise) -- grid completion is what
-  // this process's exit code stands for.
-  for (std::size_t i = 0; i < pids.size(); ++i) {
-    const dash::exp::WorkerStatus ws = dash::exp::wait_process(pids[i]);
-    if (!opt.quiet && !ws.ok()) {
-      std::string fate;
-      if (ws.exited) {
-        fate = "exit " + std::to_string(ws.exit_code);
-      } else if (ws.signaled) {
-        fate = "killed by signal " + std::to_string(ws.signal_no);
-      } else {
-        fate = "wait failed";
+  // this process's exit code stands for. run() has hung up on every
+  // agent by the time it returns or throws, so reaping cannot block.
+  const auto reap = [&] {
+    for (std::size_t i = 0; i < pids.size(); ++i) {
+      const dash::exp::WorkerStatus ws = dash::exp::wait_process(pids[i]);
+      if (!opt.quiet && !ws.ok()) {
+        std::fprintf(stderr, "fleet: agent-%zu %s\n", i,
+                     ws.describe().c_str());
       }
-      std::fprintf(stderr, "fleet: agent-%zu %s\n", i, fate.c_str());
     }
+  };
+  dash::fleet::FleetReport report;
+  try {
+    report = coordinator.run();
+  } catch (...) {
+    reap();
+    throw;
   }
+  reap();
 
   if (!opt.quiet) {
     std::fprintf(stderr, "%s\n",
@@ -590,18 +539,7 @@ int cmd_serve(const LabOptions& opt, const char* argv0) {
                  report.done, report.cells, opt.state_dir.c_str());
     return 3;
   }
-  if (!opt.rows.empty()) {
-    std::ofstream rows_out(opt.rows, std::ios::trunc);
-    if (!rows_out) {
-      throw std::runtime_error("cannot open --rows path '" + opt.rows +
-                               "'");
-    }
-    rows_out << report.rows_csv;
-    if (!opt.quiet) {
-      std::fprintf(stderr, "merged rows written to %s\n",
-                   opt.rows.c_str());
-    }
-  }
+  if (!opt.rows.empty()) emit_rows(opt, report.rows_csv);
   emit_document(opt, report.document);
   return 0;
 }
@@ -665,6 +603,7 @@ int cmd_record(const LabOptions& opt) {
                              "'");
   }
   const dash::api::Metrics m = dash::replay::record_scenario(cfg, out);
+  flush_checked(out, opt.trace);
   if (!opt.quiet) {
     std::fprintf(stderr,
                  "recorded %s: healer=%s scenario=%s seed=%llu "
@@ -747,7 +686,6 @@ int cmd_hunt(const LabOptions& opt) {
   cfg.budget = static_cast<std::size_t>(opt.budget);
   cfg.top_k = static_cast<std::size_t>(opt.top);
   cfg.threads = static_cast<std::size_t>(opt.threads);
-  cfg.fleet_agents = static_cast<std::size_t>(opt.fleet);
   cfg.state_dir = opt.state_dir;
   cfg.resume = opt.resume;
   cfg.trace_dir = opt.trace_dir;
@@ -762,14 +700,7 @@ int cmd_hunt(const LabOptions& opt) {
     std::fprintf(stderr, "hunt: no candidates scored\n");
     return 1;
   }
-  if (!opt.json.empty()) {
-    std::ofstream out(opt.json, std::ios::trunc);
-    if (!out) {
-      throw std::runtime_error("cannot open --json path '" + opt.json +
-                               "'");
-    }
-    out << result.leaderboard_json;
-  }
+  if (!opt.json.empty()) write_file(opt.json, result.leaderboard_json);
   // Parseable summary lines (the smoke tests grep these).
   std::printf("evaluations: %zu\n", result.evaluations);
   std::printf("best fitness=%s\n",
@@ -813,11 +744,8 @@ int cmd_serve_bench(const LabOptions& opt) {
   if (!opt.quiet) render_serve_table(report, std::cout);
   if (!opt.json.empty()) {
     std::ofstream os(opt.json);
-    if (!os) {
-      throw std::runtime_error("cannot open --json path '" + opt.json +
-                               "'");
-    }
     render_serve_json(cfg, report, os);
+    flush_checked(os, opt.json);
   }
   return report.ok() ? 0 : 1;
 }
@@ -855,23 +783,19 @@ int main(int argc, char** argv) {
   if (cmd == "run") {
     opt.add_string("shard", &lab.shard,
                    "run only cells of shard I/N (requires --out)");
-    opt.add_string("out", &lab.out, "shard record file (JSON lines)");
-    opt.add_uint("workers", &lab.workers,
-                 "spawn N worker processes and merge their shards "
-                 "(0 = run in-process)");
-    opt.add_string("shard-dir", &lab.shard_dir,
-                   "shard record directory for --workers");
+    opt.add_string("out", &lab.out,
+                   "record file (JSON lines, one per finished cell; the "
+                   "--resume manifest)");
     opt.add_flag("resume", &lab.resume,
-                 "skip cells already recorded in the shard file(s)");
+                 "skip cells already recorded in the --out file");
     opt.add_uint("threads", &lab.threads,
-                 "suite worker threads per process (0 = hardware "
-                 "concurrency, 1 = sequential)");
+                 "suite worker threads (0 = hardware concurrency, "
+                 "1 = sequential)");
     opt.add_string("rows", &lab.rows,
-                   "stream per-round rows here (canonical CSV; with "
-                   "--workers the merged rows of every shard)");
+                   "stream per-round rows here (canonical CSV)");
     opt.add_string("chaos", &lab.chaos,
                    "crash-fault injection: kill:<cell> or torn:<cell> "
-                   "(arms DASH_CHAOS for this run and its workers)");
+                   "(the process dies at that cell's record)");
   }
   if (cmd == "merge") {
     opt.add_string("inputs", &lab.inputs,
@@ -1016,9 +940,6 @@ int main(int argc, char** argv) {
     opt.add_uint("threads", &lab.threads,
                  "suite threads for scoring (0 = hardware, 1 = "
                  "sequential; same results either way)");
-    opt.add_uint("fleet", &lab.fleet,
-                 "score generations across N in-process fleet agents "
-                 "instead of the thread pool (same results)");
     opt.add_string("state-dir", &lab.state_dir,
                    "spool + artifact directory; --resume reuses its "
                    "scores");
@@ -1059,7 +980,7 @@ int main(int argc, char** argv) {
     if (cmd == "replay") return cmd_replay(lab);
     if (cmd == "fuzz") return cmd_fuzz(lab);
     if (cmd == "hunt") return cmd_hunt(lab);
-    return cmd_run(lab, argv[0]);
+    return cmd_run(lab);
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "dash_lab %s: %s\n", cmd.c_str(), e.what());
     return 2;
