@@ -1,7 +1,8 @@
 // micro_core.cpp -- google-benchmark microbenchmarks of the data
-// structures on the healing hot path: graph mutation, BFS, union-find,
-// generators, one DASH heal step, full schedules per size, and the
-// incremental-connectivity tracker vs the per-round BFS scan.
+// structures on the healing hot path: graph mutation, BFS (full and
+// point-to-point), union-find, generators, one DASH heal step, full
+// schedules per size, and the incremental-connectivity tracker vs the
+// per-round BFS scan.
 #include <benchmark/benchmark.h>
 
 #include <optional>
@@ -56,6 +57,32 @@ void BM_BfsDistances(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_BfsDistances)->Arg(1024)->Arg(8192);
+
+void BM_PointDistance(benchmark::State& state) {
+  // One exact point query (the serve read path's distance()): the
+  // bidirectional kernel over random alive pairs, drawn up front so
+  // the loop times only the search, on one warm scratch.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(2);
+  const Graph g = dash::graph::barabasi_albert(n, 2, rng);
+  const dash::graph::FlatView& view = g.flat_view();
+  const auto& alive = view.alive_nodes();
+  std::vector<std::pair<dash::graph::NodeId, dash::graph::NodeId>> pairs(
+      4096);
+  for (auto& [u, v] : pairs) {
+    u = alive[static_cast<std::size_t>(rng.below(alive.size()))];
+    v = alive[static_cast<std::size_t>(rng.below(alive.size()))];
+  }
+  dash::graph::TraversalScratch scratch;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& [u, v] = pairs[i++ % pairs.size()];
+    benchmark::DoNotOptimize(
+        dash::graph::point_distance(view, u, v, scratch));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PointDistance)->Arg(8192)->Arg(100000);
 
 void BM_BfsDistancesLegacy(benchmark::State& state) {
   // The historical signature: same engine underneath, plus the

@@ -6,7 +6,8 @@
 // cross-checks label-based connectivity against BFS reachability on
 // every pinned snapshot it probes (a disagreement is a torn read), and
 // verifies the mutation stream stayed byte-identical across reader
-// counts. Exit code 1 on any torn read or determinism violation.
+// counts. Exit code 1 on any torn read or determinism violation, 2
+// when a --verify round cross-checked no read during play.
 //
 //   serve_churn --n 10000 --readers 1,2,4,8 --scenario churn:0.3,0.1x2000
 //   serve_churn --n 1024 --readers 4 --verify          # cross-check all

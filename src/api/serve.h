@@ -7,7 +7,8 @@
 // cadence). Reader threads each hold a ServeReader and answer
 //
 //   connected(u, v)        O(1) from the pinned labels
-//   distance(u, v)         one BFS on the pinned CSR arrays
+//   distance(u, v)         bidirectional BFS on the pinned CSR arrays,
+//                          stopping where the two searches meet
 //   largest_component()    O(1) from the pinned labels
 //
 // entirely from a pinned epoch -- no lock is taken on the read path,
@@ -63,10 +64,11 @@ class ServePin {
   bool connected(graph::NodeId u, graph::NodeId v) const {
     return pin_->connected(u, v);
   }
-  /// BFS hop distance on the pinned snapshot; nullopt when dead or
-  /// disconnected. Independent of the labels connected() reads, so
-  /// `connected(u,v) == distance(u,v).has_value()` is a per-query
-  /// torn-read cross-check (the serve bench's --verify mode).
+  /// Exact hop distance on the pinned snapshot (bidirectional BFS);
+  /// nullopt when dead or disconnected. Independent of the labels
+  /// connected() reads, so `connected(u,v) == distance(u,v).has_value()`
+  /// is a per-query torn-read cross-check (the serve bench's --verify
+  /// mode).
   std::optional<std::uint32_t> distance(graph::NodeId u, graph::NodeId v) {
     return pin_->distance(u, v, *scratch_);
   }

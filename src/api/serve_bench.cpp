@@ -62,6 +62,42 @@ std::string metrics_to_json(const Metrics& m) {
   return os.str();
 }
 
+/// Holds the mutation thread at the first event that published a
+/// snapshot until every reader has completed a read pinned at that
+/// epoch or later. Without it a reader that shares the writer's CPU
+/// gets no time slice before a millisecond-long play ends, and the
+/// round checks nothing.
+class ReaderBarrier final : public Observer {
+ public:
+  ReaderBarrier(const ServeHandle& serve, std::uint64_t pre_play_epoch,
+                const std::atomic<std::size_t>& caught_up,
+                std::size_t readers)
+      : serve_(serve),
+        pre_play_epoch_(pre_play_epoch),
+        caught_up_(caught_up),
+        readers_(readers) {}
+
+  std::string name() const override { return "serve-bench-barrier"; }
+  void on_round_end(const Network&, const RoundEvent&) override { wait(); }
+  void on_join(const Network&, const JoinEvent&) override { wait(); }
+  void on_finish(const Network&, Metrics&) override { wait(); }
+
+ private:
+  void wait() {
+    if (released_ || serve_.epoch() == pre_play_epoch_) return;
+    released_ = true;
+    while (caught_up_.load(std::memory_order_acquire) < readers_) {
+      std::this_thread::yield();
+    }
+  }
+
+  const ServeHandle& serve_;
+  const std::uint64_t pre_play_epoch_;
+  const std::atomic<std::size_t>& caught_up_;
+  const std::size_t readers_;
+  bool released_ = false;
+};
+
 ServeBenchRound run_one(const ServeBenchConfig& cfg, std::size_t readers,
                         bool stream_rows_to_file) {
   util::Rng graph_rng(cfg.seed);
@@ -101,12 +137,18 @@ ServeBenchRound run_one(const ServeBenchConfig& cfg, std::size_t readers,
   threads.reserve(readers);
   std::atomic<bool> start{false};
   std::atomic<bool> stop{false};
+  // Readers that have completed a read of a snapshot play published.
+  std::atomic<std::size_t> caught_up{0};
+  const std::uint64_t pre_play_epoch = serve.epoch();
+  net.add_observer(std::make_unique<ReaderBarrier>(serve, pre_play_epoch,
+                                                   caught_up, readers));
 
   for (std::size_t r = 0; r < readers; ++r) {
     ServeReader reader = serve.reader();
     threads.emplace_back([&, r, reader = std::move(reader)]() mutable {
       ReaderTally& tally = tallies[r];
       util::Rng rng(cfg.seed * 0x9e3779b9ULL + r + 1);
+      bool announced = false;
       while (!start.load(std::memory_order_acquire)) {
         std::this_thread::yield();
       }
@@ -115,31 +157,34 @@ ServeBenchRound run_one(const ServeBenchConfig& cfg, std::size_t readers,
         ServePin pin = reader.pin();
         const auto& alive = pin.snapshot().view().alive_nodes();
         if (alive.size() < 2) {
-          ++tally.reads;
           std::this_thread::yield();
-          continue;
-        }
-        const graph::NodeId u =
-            alive[static_cast<std::size_t>(rng.below(alive.size()))];
-        const graph::NodeId v =
-            alive[static_cast<std::size_t>(rng.below(alive.size()))];
-        const bool cross_check =
-            cfg.verify ||
-            (cfg.distance_every != 0 &&
-             tally.reads % cfg.distance_every == cfg.distance_every - 1);
-        if (cross_check) {
-          const bool conn = pin.connected(u, v);
-          const bool reachable = pin.distance(u, v).has_value();
-          if (conn != reachable) ++tally.torn;
-          ++tally.distance_reads;
-        } else if ((tally.reads & 63) == 63) {
-          // An occasional component-structure read in the mix.
-          (void)pin.largest_component();
         } else {
-          (void)pin.connected(u, v);
+          const graph::NodeId u =
+              alive[static_cast<std::size_t>(rng.below(alive.size()))];
+          const graph::NodeId v =
+              alive[static_cast<std::size_t>(rng.below(alive.size()))];
+          // A reader's first read cross-checks whenever any read does.
+          const bool cross_check =
+              cfg.verify || (cfg.distance_every != 0 &&
+                             tally.reads % cfg.distance_every == 0);
+          if (cross_check) {
+            const bool conn = pin.connected(u, v);
+            const bool reachable = pin.distance(u, v).has_value();
+            if (conn != reachable) ++tally.torn;
+            ++tally.distance_reads;
+          } else if ((tally.reads & 63) == 63) {
+            // An occasional component-structure read in the mix.
+            (void)pin.largest_component();
+          } else {
+            (void)pin.connected(u, v);
+          }
+          tally.record(micros_between(t0, Clock::now()));
         }
-        tally.record(micros_between(t0, Clock::now()));
         ++tally.reads;
+        if (!announced && pin.epoch() > pre_play_epoch) {
+          announced = true;
+          caught_up.fetch_add(1, std::memory_order_release);
+        }
       }
     });
   }
@@ -199,6 +244,13 @@ ServeBenchReport run_serve_bench(const ServeBenchConfig& cfg) {
   for (std::size_t i = 0; i < cfg.reader_counts.size(); ++i) {
     const bool last = i + 1 == cfg.reader_counts.size();
     report.rounds.push_back(run_one(cfg, cfg.reader_counts[i], last));
+    if (cfg.verify && report.rounds.back().distance_reads == 0) {
+      throw UncheckedVerifyRound(
+          "unchecked verify round: " +
+          std::to_string(cfg.reader_counts[i]) +
+          " readers cross-checked no read during play, so its zero "
+          "torn reads certify nothing");
+    }
     if (report.rounds.back().metrics_json !=
         report.rounds.front().metrics_json) {
       report.deterministic = false;

@@ -5,12 +5,15 @@
 // throughput and p50/p99/p999 latency per reader count.
 //
 // Every read takes a fresh pin; most are O(1) connected() lookups,
-// every `distance_every`-th runs a BFS distance on the same pin and --
-// because distance() answers from the CSR arrays while connected()
-// answers from the labels -- cross-checks the two (`verify` upgrades
-// the cross-check to every read). Any disagreement within one pin is a
-// torn read: the snapshot the reader held was not immutable. A clean
-// run reports zero.
+// every `distance_every`-th (a reader's first included) runs a BFS
+// distance on the same pin and -- because distance() answers from the
+// CSR arrays while connected() answers from the labels -- cross-checks
+// the two (`verify` upgrades the cross-check to every read). Any
+// disagreement within one pin is a torn read: the snapshot the reader
+// held was not immutable. A clean run reports zero. Play pauses after
+// its first published snapshot until every reader has completed a
+// read of it, so every round checks reads during play even when the
+// readers share the writer's CPU.
 //
 // The mutation side's Metrics are serialized per round and compared
 // across reader counts: readers must not perturb the deterministic
@@ -20,6 +23,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -72,8 +76,14 @@ struct ServeBenchReport {
   bool ok() const { return deterministic && total_torn() == 0; }
 };
 
+/// Thrown when a `verify` round cross-checked no read during play: its
+/// zero torn reads would certify nothing.
+struct UncheckedVerifyRound : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
 /// Run the full grid of reader counts. Throws on bad config (unknown
-/// healer, malformed scenario).
+/// healer, malformed scenario) and UncheckedVerifyRound.
 ServeBenchReport run_serve_bench(const ServeBenchConfig& cfg);
 
 /// Human table (one row per reader count) / machine JSON document.

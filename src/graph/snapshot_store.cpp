@@ -35,9 +35,7 @@ bool Snapshot::alive(NodeId v) const {
 std::optional<std::uint32_t> Snapshot::distance(
     NodeId u, NodeId v, TraversalScratch& scratch) const {
   if (!alive(u) || !alive(v)) return std::nullopt;
-  if (u == v) return 0;
-  bfs_distances(view_, u, scratch);
-  const std::uint32_t d = scratch.distance(v);
+  const std::uint32_t d = point_distance(view_, u, v, scratch);
   if (d == kUnreachable) return std::nullopt;
   return d;
 }

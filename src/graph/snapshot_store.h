@@ -74,11 +74,11 @@ class Snapshot {
     return lu != kInvalidComponent && lu == comps_.label[v];
   }
 
-  /// Hop distance via a full BFS on the snapshot (caller-owned
-  /// scratch); nullopt when either endpoint is dead/out-of-range or
-  /// the two are disconnected. Answers purely from the CSR arrays --
-  /// never from the labels -- so it doubles as the verify side of the
-  /// connected() cross-check.
+  /// Exact hop distance via a bidirectional BFS on the snapshot
+  /// (graph::point_distance, caller-owned scratch); nullopt when either
+  /// endpoint is dead/out-of-range or the two are disconnected.
+  /// Answers purely from the CSR arrays -- never from the labels -- so
+  /// it doubles as the verify side of the connected() cross-check.
   std::optional<std::uint32_t> distance(NodeId u, NodeId v,
                                         TraversalScratch& scratch) const;
 

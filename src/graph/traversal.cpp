@@ -22,6 +22,7 @@ void TraversalScratch::begin(std::size_t n) {
     // The 8-bit epoch wrapped: one wholesale clear every 255
     // traversals, O(n)/255 amortized per call.
     std::fill(stamp_.begin(), stamp_.end(), std::uint8_t{0});
+    std::fill(dst_stamp_.begin(), dst_stamp_.end(), std::uint8_t{0});
     epoch_ = 1;
   }
   visited_count_ = 0;
@@ -156,6 +157,74 @@ std::size_t bfs_distances(const FlatView& view, NodeId src,
   return tail;
 }
 
+std::uint32_t point_distance(const FlatView& view, NodeId src, NodeId dst,
+                             TraversalScratch& scratch) {
+  const std::size_t n = view.num_nodes();
+  scratch.begin(n);  // also empties visited(): a point query exposes none
+  if (src == dst) return 0;
+  if (scratch.dst_stamp_.size() < n) {
+    scratch.dst_stamp_.resize(n, 0);
+    scratch.dst_dist_.resize(n);
+    scratch.dst_frontier_.resize(n);
+  }
+  const std::uint8_t epoch = scratch.epoch_;
+
+  // One BFS per endpoint, each a queue of whole levels: the current
+  // frontier is queue[level_start, tail) at distance `depth`, and
+  // `degree` is its total degree, i.e. the edge checks its next
+  // expansion costs.
+  struct Side {
+    std::uint8_t* stamp;
+    std::uint32_t* dist;
+    NodeId* queue;
+    std::size_t level_start = 0;
+    std::size_t tail = 1;
+    std::uint32_t depth = 0;
+    std::size_t degree = 0;
+  };
+  Side from_src{scratch.stamp_.data(), scratch.dist_.data(),
+                scratch.frontier_.data()};
+  Side from_dst{scratch.dst_stamp_.data(), scratch.dst_dist_.data(),
+                scratch.dst_frontier_.data()};
+  from_src.stamp[src] = from_dst.stamp[dst] = epoch;
+  from_src.dist[src] = from_dst.dist[dst] = 0;
+  from_src.queue[0] = src;
+  from_dst.queue[0] = dst;
+  from_src.degree = view.degree(src);
+  from_dst.degree = view.degree(dst);
+
+  // Expand one whole level of the cheaper side at a time. No node is
+  // ever claimed by both sides, so until the first meeting the two
+  // searched balls B(src, ds) and B(dst, dd) are disjoint and the
+  // distance is at least ds + dd + 1; the first edge from a level-ds
+  // node into the other side closes a path of length ds + 1 + dd' with
+  // dd' <= dd. Hence the first meeting is exact and the level need not
+  // finish. A side whose level discovers nothing has exhausted its
+  // component without meeting the other: the endpoints are disconnected.
+  for (;;) {
+    const bool src_side = from_src.degree <= from_dst.degree;
+    Side& me = src_side ? from_src : from_dst;
+    const Side& other = src_side ? from_dst : from_src;
+    const std::size_t level_end = me.tail;
+    const std::uint32_t next = me.depth + 1;
+    std::size_t degree = 0;
+    for (std::size_t i = me.level_start; i < level_end; ++i) {
+      for (NodeId y : view.neighbors(me.queue[i])) {
+        if (me.stamp[y] == epoch) continue;
+        if (other.stamp[y] == epoch) return next + other.dist[y];
+        me.stamp[y] = epoch;
+        me.dist[y] = next;
+        me.queue[me.tail++] = y;
+        degree += view.degree(y);
+      }
+    }
+    if (me.tail == level_end) return kUnreachable;
+    me.level_start = level_end;
+    me.depth = next;
+    me.degree = degree;
+  }
+}
+
 bool is_connected(const FlatView& view, TraversalScratch& scratch) {
   const std::size_t alive = view.num_alive();
   if (alive <= 1) return true;
@@ -224,40 +293,7 @@ std::vector<std::uint32_t> bfs_distances(const Graph& g, NodeId src) {
 
 std::uint32_t bfs_distance(const Graph& g, NodeId src, NodeId dst) {
   DASH_CHECK(g.alive(src) && g.alive(dst));
-  if (src == dst) return 0;
-  // Point query: deliberately a plain top-down BFS (not the
-  // direction-optimizing engine loop) because it returns the moment
-  // dst is settled -- usually long before the dense middle levels
-  // where bottom-up would start paying off.
-  const FlatView& view = g.flat_view();
-  TraversalScratch& scratch = local_scratch();
-  scratch.begin(view.num_nodes());
-  auto* dist = scratch.dist_.data();
-  auto* stamp = scratch.stamp_.data();
-  auto* queue = scratch.frontier_.data();
-  const std::uint8_t epoch = scratch.epoch_;
-  std::size_t head = 0;
-  std::size_t tail = 0;
-  stamp[src] = epoch;
-  dist[src] = 0;
-  queue[tail++] = src;
-  while (head < tail) {
-    const NodeId v = queue[head++];
-    const std::uint32_t next = dist[v] + 1;
-    for (NodeId u : view.neighbors(v)) {
-      if (stamp[u] != epoch) {
-        if (u == dst) {
-          scratch.visited_count_ = 0;  // partial run: expose no state
-          return next;
-        }
-        stamp[u] = epoch;
-        dist[u] = next;
-        queue[tail++] = u;
-      }
-    }
-  }
-  scratch.visited_count_ = 0;
-  return kUnreachable;
+  return point_distance(g.flat_view(), src, dst, local_scratch());
 }
 
 bool is_connected(const Graph& g) {

@@ -33,21 +33,25 @@ namespace dash::graph {
 /// wrapping 8-bit epoch, cleared wholesale every 255 traversals), so
 /// the per-edge visited check -- the single hottest memory access in
 /// the codebase -- touches an array small enough to stay L1-resident.
+/// Point queries (point_distance) search from both ends and keep the
+/// destination side in a second stamp/dist/queue set, sized on the
+/// first point query so scratches that never run one pay nothing.
 /// One scratch serves any number of sequential traversals; concurrent
 /// traversals need one scratch each.
 class TraversalScratch {
  public:
-  /// Distance of v from the last traversal's source; kUnreachable for
-  /// nodes that traversal never visited (dead, disconnected, or out of
-  /// range of the last run). Valid until the next traversal using this
-  /// scratch.
+  /// Distance of v from the last single-source traversal's source;
+  /// kUnreachable for nodes that traversal never visited (dead,
+  /// disconnected, or out of range of the last run). Valid until the
+  /// next traversal using this scratch; unspecified after a
+  /// point_distance, which settles only part of the graph.
   std::uint32_t distance(NodeId v) const {
     return stamp_[v] == epoch_ ? dist_[v] : kUnreachable;
   }
 
   /// Nodes the last single-source traversal visited, level by level
   /// (the source first, then depth 1, ...; distances nondecreasing).
-  /// Valid until the next traversal.
+  /// Valid until the next traversal; empty after a point_distance.
   std::span<const NodeId> visited() const {
     return {frontier_.data(), visited_count_};
   }
@@ -66,13 +70,18 @@ class TraversalScratch {
   /// bottom-up level of a traversal so later sweeps skip the settled
   /// majority.
   std::vector<NodeId> unvisited_;
+  /// The destination side of a point query; stamped with the same
+  /// epoch as stamp_, so the wrap clears both.
+  std::vector<std::uint32_t> dst_dist_;
+  std::vector<std::uint8_t> dst_stamp_;
+  std::vector<NodeId> dst_frontier_;
   std::size_t visited_count_ = 0;
   std::uint8_t epoch_ = 0;
 
   friend std::size_t bfs_distances(const FlatView& view, NodeId src,
                                    TraversalScratch& scratch);
-  friend std::uint32_t bfs_distance(const Graph& g, NodeId src,
-                                    NodeId dst);
+  friend std::uint32_t point_distance(const FlatView& view, NodeId src,
+                                      NodeId dst, TraversalScratch& scratch);
   friend void connected_components(const FlatView& view,
                                    TraversalScratch& scratch,
                                    struct Components& out);
@@ -86,6 +95,14 @@ class TraversalScratch {
 /// src). `src` must be alive in the snapshot.
 std::size_t bfs_distances(const FlatView& view, NodeId src,
                           TraversalScratch& scratch);
+
+/// Exact hop distance between two alive nodes of the snapshot
+/// (kUnreachable if disconnected): a level-synchronous BFS from both
+/// ends that stops at the first meeting, so a query touches the two
+/// balls around its endpoints instead of the whole graph, and a
+/// disconnected query at most about the smaller component.
+std::uint32_t point_distance(const FlatView& view, NodeId src, NodeId dst,
+                             TraversalScratch& scratch);
 
 /// True if all alive nodes of the snapshot form a single connected
 /// component. Vacuously true for 0 or 1 alive nodes.
@@ -118,7 +135,7 @@ std::uint32_t eccentricity(const FlatView& view, NodeId src,
 std::vector<std::uint32_t> bfs_distances(const Graph& g, NodeId src);
 
 /// Shortest-path distance between two alive nodes (kUnreachable if
-/// disconnected). Early-exits once `dst` is settled.
+/// disconnected): point_distance on the graph's cached flat view.
 std::uint32_t bfs_distance(const Graph& g, NodeId src, NodeId dst);
 
 /// True if all alive nodes form a single connected component.

@@ -3,7 +3,8 @@
 // while play() mutates on another thread, the one-shot ServeReader
 // conveniences, and the AsyncSink half of the observer pipeline
 // (byte-identity vs the synchronous path, bounded-capacity stress,
-// flush barrier).
+// flush barrier). The serve-bench harness must cross-check reads
+// during play in every round, however short the play.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +16,7 @@
 #include "api/network.h"
 #include "api/scenario.h"
 #include "api/serve.h"
+#include "api/serve_bench.h"
 #include "api/sink.h"
 #include "graph/generators.h"
 #include "util/rng.h"
@@ -180,6 +182,30 @@ TEST(Serve, NestedParallelForOverServeReads) {
 
 /// Drive the same scenario into a synchronous CsvStreamSink and an
 /// AsyncSink-wrapped one; outputs must be byte-identical.
+TEST(ServeBench, EveryReaderCrossChecksDuringShortPlay) {
+  // A play of a few hundred microseconds: without the in-play reader
+  // barrier, readers sharing the writer's CPU read nothing before it
+  // ends. With it, each reader completes at least one read of a
+  // snapshot the play published, and a reader's first read is a
+  // cross-check.
+  for (const bool verify : {true, false}) {
+    ServeBenchConfig cfg;
+    cfg.n = 128;
+    cfg.scenario = "churn:0.3,0.1x40";
+    cfg.reader_counts = {1, 3};
+    cfg.distance_every = 4;
+    cfg.verify = verify;
+    const ServeBenchReport report = run_serve_bench(cfg);
+    ASSERT_EQ(report.rounds.size(), 2u);
+    EXPECT_TRUE(report.ok());
+    for (const ServeBenchRound& round : report.rounds) {
+      EXPECT_GE(round.distance_reads, round.readers)
+          << "verify=" << verify << " readers=" << round.readers;
+      EXPECT_EQ(round.torn_reads, 0u);
+    }
+  }
+}
+
 TEST(AsyncSink, OutputByteIdenticalToSynchronousPath) {
   const Scenario s = Scenario::parse("churn:0.3,0.1x100");
 

@@ -6,7 +6,10 @@
 // reproduce the legacy per-call-allocating implementations bit for bit
 // -- max stretch exactly (same IEEE divisions), averages to rounding
 // (the fold order is documented), everything else structurally equal --
-// at every sampled round of a live healing run.
+// at every sampled round of a live healing run. The bidirectional
+// point_distance kernel (and the legacy bfs_distance wrapper over it)
+// must equal the legacy full BFS after every round and join, with the
+// suite run sequentially and on a ThreadPool.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -186,8 +189,89 @@ class EngineDifferentialObserver final : public Observer {
   std::size_t rounds_checked_ = 0;
 };
 
+/// Rides a live run and, after every round and join, answers point
+/// queries from a spread of sources to a spread of destinations through
+/// both point-query entry points, against the legacy full BFS. Counts
+/// instead of asserting: pooled instances run it on a worker thread,
+/// and run_suite's inspect hook reports on the caller.
+class PointDistanceObserver final : public Observer {
+ public:
+  std::string name() const override { return "point-diff"; }
+
+  void on_round_end(const Network& net, const RoundEvent&) override {
+    check(net.graph());
+  }
+  void on_join(const Network& net, const JoinEvent&) override {
+    check(net.graph());
+  }
+
+  std::size_t queries() const { return queries_; }
+  std::size_t unreachable() const { return unreachable_; }
+  std::size_t mismatches() const { return mismatches_; }
+
+ private:
+  void check(const Graph& g) {
+    const auto alive = g.alive_nodes();
+    const graph::FlatView& view = g.flat_view();
+    for (std::size_t i = 0; i < alive.size(); i += 1 + alive.size() / 3) {
+      const NodeId u = alive[i];
+      const auto want = ref_bfs_distances(g, u);
+      for (std::size_t j = 0; j < alive.size(); j += 1 + alive.size() / 8) {
+        const NodeId v = alive[j];
+        ++queries_;
+        unreachable_ += want[v] == kUnreachable;
+        mismatches_ += graph::point_distance(view, u, v, scratch_) != want[v];
+        mismatches_ += graph::bfs_distance(g, u, v) != want[v];
+      }
+    }
+  }
+
+  graph::TraversalScratch scratch_;
+  std::size_t queries_ = 0;
+  std::size_t unreachable_ = 0;
+  std::size_t mismatches_ = 0;
+};
+
 class TraversalEngineProperty
     : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(TraversalEngineProperty, PointDistanceMatchesFullBfsSeqAndPooled) {
+  const std::string spec = GetParam();
+  dash::util::ThreadPool pool(3);
+  for (const char* healer : {"dash", "none"}) {
+    for (const bool pooled : {false, true}) {
+      const std::string what =
+          spec + " / " + healer + (pooled ? " / pooled" : " / sequential");
+      std::size_t queries = 0;
+      std::size_t unreachable = 0;
+      std::size_t mismatches = 0;
+      SuiteConfig cfg;
+      cfg.instances = 3;
+      cfg.base_seed = 0xB1D1u;
+      cfg.make_graph = [](dash::util::Rng& rng) {
+        return graph::barabasi_albert(48, 2, rng);
+      };
+      cfg.make_healer = healer_factory(healer);
+      cfg.scenario = Scenario::parse(spec);
+      cfg.configure = [](Network& net) {
+        net.add_observer(std::make_unique<PointDistanceObserver>());
+      };
+      cfg.inspect = [&](std::size_t, const Network& net, const Metrics&) {
+        const auto* diff = dynamic_cast<const PointDistanceObserver*>(
+            net.find_observer("point-diff"));
+        ASSERT_NE(diff, nullptr);
+        queries += diff->queries();
+        unreachable += diff->unreachable();
+        mismatches += diff->mismatches();
+      };
+      const auto results = pooled ? run_suite(cfg, pool) : run_suite(cfg);
+      ASSERT_EQ(results.size(), 3u) << what;
+      EXPECT_GT(queries, 0u) << what;
+      EXPECT_EQ(mismatches, 0u) << what << " (" << unreachable
+                                << " of " << queries << " disconnected)";
+    }
+  }
+}
 
 TEST_P(TraversalEngineProperty, FlatEngineMatchesLegacyEveryPhaseType) {
   const std::string spec = GetParam();
