@@ -23,51 +23,56 @@ int main(int argc, char** argv) {
     return fo.help ? 0 : 2;
   }
 
-  dash::util::ThreadPool pool(static_cast<std::size_t>(fo.threads));
-  const std::vector<std::string> names{"GraphHeal", "BinaryTreeHeal",
-                                       "DASH"};
-  const std::vector<std::string> keys{"graph", "binarytree", "dash"};
+  try {
+    dash::util::ThreadPool pool(static_cast<std::size_t>(fo.threads));
+    const std::vector<std::string> names{"GraphHeal", "BinaryTreeHeal",
+                                         "DASH"};
+    const std::vector<std::string> keys{"graph", "binarytree", "dash"};
 
-  // One suite per cell; both metrics summarize the same runs.
-  const auto scenario = dash::api::Scenario().targeted(fo.attack);
-  dash::bench::JsonOutput json(fo.json_path);
-  std::vector<dash::bench::SeriesPoint> points;
-  std::vector<dash::bench::SeriesPoint> edge_points;
-  for (std::size_t n : fo.sizes()) {
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      const auto results = dash::bench::run_cell_results(
-          fo, n, keys[i], scenario, pool, nullptr, json.get(), names[i]);
+    // One suite per cell; both metrics summarize the same runs.
+    const auto scenario = dash::api::Scenario().targeted(fo.attack);
+    dash::bench::JsonOutput json(fo.json_path);
+    std::vector<dash::bench::SeriesPoint> points;
+    std::vector<dash::bench::SeriesPoint> edge_points;
+    for (std::size_t n : fo.sizes()) {
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        const auto results = dash::bench::run_cell_results(
+            fo, n, keys[i], scenario, pool, nullptr, json.get(), names[i]);
 
-      dash::bench::SeriesPoint p;
-      p.n = n;
-      p.strategy = names[i];
-      p.summary = dash::api::summarize_metric(
-          results, [](const Metrics& r) {
-            return static_cast<double>(r.max_delta);
-          });
-      points.push_back(p);
+        dash::bench::SeriesPoint p;
+        p.n = n;
+        p.strategy = names[i];
+        p.summary = dash::api::summarize_metric(
+            results, [](const Metrics& r) {
+              return static_cast<double>(r.max_delta);
+            });
+        points.push_back(p);
 
-      dash::bench::SeriesPoint e;
-      e.n = n;
-      e.strategy = names[i];
-      e.summary = dash::api::summarize_metric(
-          results, [](const Metrics& r) {
-            return static_cast<double>(r.edges_added);
-          });
-      edge_points.push_back(e);
+        dash::bench::SeriesPoint e;
+        e.n = n;
+        e.strategy = names[i];
+        e.summary = dash::api::summarize_metric(
+            results, [](const Metrics& r) {
+              return static_cast<double>(r.edges_added);
+            });
+        edge_points.push_back(e);
+      }
+      std::fprintf(stderr, "  done n=%zu\n", n);
     }
-    std::fprintf(stderr, "  done n=%zu\n", n);
-  }
 
-  dash::bench::print_figure(
-      "Ablation (Sec 3.1): max degree increase without/with component "
-      "tracking",
-      fo, names, points, "max_degree_increase");
-  dash::bench::print_figure(
-      "Ablation (Sec 3.1): total healing edges added over the schedule",
-      fo, names, edge_points, "edges_added");
-  std::cout << "\nexpected: GraphHeal adds ~d-2 degrees per deletion "
-               "(grows with n);\ncomponent-aware healers add the minimum "
-               "needed and stay ~2log2(n).\n";
+    dash::bench::print_figure(
+        "Ablation (Sec 3.1): max degree increase without/with component "
+        "tracking",
+        fo, names, points, "max_degree_increase");
+    dash::bench::print_figure(
+        "Ablation (Sec 3.1): total healing edges added over the schedule",
+        fo, names, edge_points, "edges_added");
+    std::cout << "\nexpected: GraphHeal adds ~d-2 degrees per deletion "
+                 "(grows with n);\ncomponent-aware healers add the minimum "
+                 "needed and stay ~2log2(n).\n";
+    json.finish();
+  } catch (const std::exception& e) {
+    return dash::bench::report_error(e);
+  }
   return 0;
 }

@@ -21,35 +21,40 @@ int main(int argc, char** argv) {
     return fo.help ? 0 : 2;
   }
 
-  dash::util::ThreadPool pool(static_cast<std::size_t>(fo.threads));
-  const std::vector<std::string> names{"delta-ordered(DASH)",
-                                       "id-ordered(BinaryTreeHeal)"};
-  const std::vector<std::string> keys{"dash", "binarytree"};
+  try {
+    dash::util::ThreadPool pool(static_cast<std::size_t>(fo.threads));
+    const std::vector<std::string> names{"delta-ordered(DASH)",
+                                         "id-ordered(BinaryTreeHeal)"};
+    const std::vector<std::string> keys{"dash", "binarytree"};
 
-  const auto scenario = dash::api::Scenario().targeted(fo.attack);
-  dash::bench::JsonOutput json(fo.json_path);
-  std::vector<dash::bench::SeriesPoint> points;
-  for (std::size_t n : fo.sizes()) {
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      dash::bench::SeriesPoint p;
-      p.n = n;
-      p.strategy = names[i];
-      p.summary = dash::bench::run_cell(
-          fo, n, keys[i], scenario,
-          [](const Metrics& r) {
-            return static_cast<double>(r.max_delta);
-          },
-          pool, nullptr, json.get(), names[i]);
-      points.push_back(p);
+    const auto scenario = dash::api::Scenario().targeted(fo.attack);
+    dash::bench::JsonOutput json(fo.json_path);
+    std::vector<dash::bench::SeriesPoint> points;
+    for (std::size_t n : fo.sizes()) {
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        dash::bench::SeriesPoint p;
+        p.n = n;
+        p.strategy = names[i];
+        p.summary = dash::bench::run_cell(
+            fo, n, keys[i], scenario,
+            [](const Metrics& r) {
+              return static_cast<double>(r.max_delta);
+            },
+            pool, nullptr, json.get(), names[i]);
+        points.push_back(p);
+      }
+      std::fprintf(stderr, "  done n=%zu\n", n);
     }
-    std::fprintf(stderr, "  done n=%zu\n", n);
-  }
 
-  dash::bench::print_figure(
-      "Ablation: RT placement policy vs max degree increase", fo, names,
-      points, "max_degree_increase");
-  std::cout << "\nexpected: both are O(polylog); delta-ordering keeps "
-               "DASH at/below 2log2(n) while id-ordering drifts above "
-               "it as n grows.\n";
+    dash::bench::print_figure(
+        "Ablation: RT placement policy vs max degree increase", fo, names,
+        points, "max_degree_increase");
+    std::cout << "\nexpected: both are O(polylog); delta-ordering keeps "
+                 "DASH at/below 2log2(n) while id-ordering drifts above "
+                 "it as n grows.\n";
+    json.finish();
+  } catch (const std::exception& e) {
+    return dash::bench::report_error(e);
+  }
   return 0;
 }

@@ -19,6 +19,7 @@
 #include "util/ascii_plot.h"
 #include "util/cli.h"
 #include "util/csv.h"
+#include "util/output.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
@@ -184,26 +185,38 @@ inline void print_figure(
                 p.summary.stddev, p.summary.min, p.summary.max,
                 p.summary.median, p.summary.count);
     }
+    dash::util::flush_checked(out, fo.csv_path);
     std::cout << "\nCSV written to " << fo.csv_path << "\n";
   }
 }
 
-/// Open the optional BENCH_*.json sink for a figure run; the document
-/// is written once, when the last suite has fed its group.
+/// Open the optional BENCH_*.json sink for a figure run; finish()
+/// writes the document once the last suite has fed its group.
 struct JsonOutput {
+  std::string path;
   std::ofstream stream;
   std::optional<api::JsonSummarySink> sink;
 
-  explicit JsonOutput(const std::string& path) {
+  explicit JsonOutput(const std::string& json_path) : path(json_path) {
     if (path.empty()) return;
     stream.open(path);
     sink.emplace(stream);
   }
-  ~JsonOutput() {
-    if (sink) sink->flush();
+  /// Write the document; throws util::WriteError when it did not land.
+  void finish() {
+    if (!sink) return;
+    sink->flush();
+    util::flush_checked(stream, path);
   }
   api::JsonSummarySink* get() { return sink ? &*sink : nullptr; }
 };
+
+/// Exit code for an exception that ends a figure bench: 1 when an
+/// output file could not be written, 2 for bad input.
+inline int report_error(const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return dynamic_cast<const util::WriteError*>(&e) != nullptr ? 1 : 2;
+}
 
 /// The figure benches are grid runs: one ExperimentSpec over the
 /// common flags (sizes x healers x one scenario), executed by the exp
@@ -264,14 +277,12 @@ inline int run_grid_figure(const std::string& title,
 
     print_figure(title, fo, names, points, metric_name);
     if (!fo.json_path.empty()) {
-      std::ofstream out(fo.json_path);
-      out << exp::merged_document(spec, records);
+      util::write_file(fo.json_path, exp::merged_document(spec, records));
       std::cout << "JSON summary written to " << fo.json_path << "\n";
     }
     std::fprintf(stderr, "grid: %s\n", spec.canonical().c_str());
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
+    return report_error(e);
   }
   return 0;
 }

@@ -7,6 +7,8 @@
 //   $ ./quickstart --scenario 'churn:0.3,0.1x200;batch:4x10'
 #include <cmath>
 #include <iostream>
+#include <memory>
+#include <stdexcept>
 
 #include "api/api.h"
 #include "graph/generators.h"
@@ -35,8 +37,14 @@ int main(int argc, char** argv) {
   auto g = dash::graph::barabasi_albert(static_cast<std::size_t>(n), 2, rng);
   std::cout << "network: " << g.num_alive() << " nodes, " << g.num_edges()
             << " edges\n";
-  dash::api::Network net(std::move(g), dash::core::make_strategy(healer_name),
-                         rng);
+  std::unique_ptr<dash::core::HealingStrategy> healer;
+  try {
+    healer = dash::core::make_strategy(healer_name);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "bad healer: " << e.what() << "\n";
+    return 2;
+  }
+  dash::api::Network net(std::move(g), std::move(healer), rng);
 
   // 2. Plug in measurement: the full invariant battery after each round.
   dash::api::InvariantObserver invariants;

@@ -13,7 +13,6 @@
 //   $ ./sweep_cli --family ba --attack maxnode --metric stretch
 //       --healers dash,sdash,graph --max-n 128
 //   $ ./sweep_cli --scenario 'churn:0.4,0.4x300;batch:8' --metric max_delta
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <sstream>
@@ -23,6 +22,7 @@
 #include "exp/spec.h"
 #include "util/cli.h"
 #include "util/csv.h"
+#include "util/output.h"
 #include "util/table.h"
 
 namespace {
@@ -181,16 +181,18 @@ int main(int argc, char** argv) {
               << " instances=" << instances << " ==\n\n";
     table.print(std::cout);
     if (!csv_path.empty()) {
-      std::ofstream out(csv_path);
-      out << csv_buf.str();
+      dash::util::write_file(csv_path, csv_buf.str());
       std::cout << "\nCSV written to " << csv_path << "\n";
     }
     if (!json_path.empty()) {
-      std::ofstream out(json_path);
-      out << dash::exp::merged_document(spec, records);
+      dash::util::write_file(json_path,
+                             dash::exp::merged_document(spec, records));
       std::cout << "\nJSON summary written to " << json_path << "\n";
     }
     std::fprintf(stderr, "grid: %s\n", spec.canonical().c_str());
+  } catch (const dash::util::WriteError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;

@@ -67,8 +67,7 @@ class ServePin {
   /// Exact hop distance on the pinned snapshot (bidirectional BFS);
   /// nullopt when dead or disconnected. Independent of the labels
   /// connected() reads, so `connected(u,v) == distance(u,v).has_value()`
-  /// is a per-query torn-read cross-check (the serve bench's --verify
-  /// mode).
+  /// is a per-query torn-read cross-check.
   std::optional<std::uint32_t> distance(graph::NodeId u, graph::NodeId v) {
     return pin_->distance(u, v, *scratch_);
   }

@@ -320,6 +320,12 @@ struct Coordinator::Impl {
     for (auto& cp : conns) {
       Conn& c = *cp;
       if (c.dead || !c.claim_pending) continue;
+      // A checkpoint commits exactly stop_after cells: leasing more
+      // could let the whole grid finish in one poll pass first.
+      if (opt.stop_after > 0 &&
+          session_committed + running.size() >= opt.stop_after) {
+        continue;
+      }
       if (!pending.empty()) {
         const std::size_t cell = pending.front();
         pending.pop_front();

@@ -63,7 +63,7 @@ class Snapshot {
   /// True when v is alive in this snapshot. Binary search over the
   /// ascending alive list -- deliberately independent of the component
   /// labels, so label-based and BFS-based answers cross-check each
-  /// other (the serve bench's torn-read detector).
+  /// other (the torn-read detector of the serving tests and perfbench).
   bool alive(NodeId v) const;
 
   /// Same component in this snapshot? O(1) via the labels; false when

@@ -9,6 +9,7 @@
 #include "exp/runner.h"
 #include "util/check.h"
 #include "util/csv.h"
+#include "util/output.h"
 #include "util/registry.h"
 
 namespace dash::hunt {
@@ -224,10 +225,7 @@ Evaluator::Evaluator(HuntConfig cfg) : cfg_(std::move(cfg)) {
       // complete lines; append after them.
       spool_.open(path, std::ios::app);
     }
-    spool_.flush();
-    if (!spool_) {
-      throw std::invalid_argument("cannot write hunt spool " + path);
-    }
+    util::flush_checked(spool_, path);
   }
 }
 
@@ -432,6 +430,7 @@ void Evaluator::load_spool() {
     }
     out << "\n";
   }
+  util::flush_checked(out, path);
 }
 
 void Evaluator::append_spool(const std::string& spec, const Score& score) {
@@ -443,7 +442,7 @@ void Evaluator::append_spool(const std::string& spec, const Score& score) {
     spool_ << score.groups[i];
   }
   spool_ << "\n";
-  spool_.flush();
+  util::flush_checked(spool_, spool_path(cfg_.state_dir));
 }
 
 }  // namespace dash::hunt

@@ -13,6 +13,7 @@
 #include "hunt/strategy.h"
 #include "replay/recorder.h"
 #include "util/csv.h"
+#include "util/output.h"
 
 namespace dash::hunt {
 
@@ -65,12 +66,10 @@ std::string emit_trace(const Evaluator& eval, const Evaluated& entry,
   const std::string path = dir + "/HUNT_" + cfg.name + "_best" +
                            std::to_string(rank) + ".trace";
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    throw std::invalid_argument("cannot write hunt trace " + path);
-  }
   util::Rng seeder(cell.seed);
   util::Rng rng = seeder.fork(1);
   replay::record_scenario(rc, rng, out);
+  util::flush_checked(out, path);
   return path;
 }
 
@@ -98,13 +97,7 @@ HuntResult run_hunt(const HuntConfig& cfg) {
     std::filesystem::create_directories(cfg.state_dir);
     result.leaderboard_path =
         cfg.state_dir + "/HUNT_" + cfg.name + ".json";
-    std::ofstream out(result.leaderboard_path,
-                      std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw std::invalid_argument("cannot write hunt leaderboard " +
-                                  result.leaderboard_path);
-    }
-    out << result.leaderboard_json;
+    util::write_file(result.leaderboard_path, result.leaderboard_json);
   }
 
   const std::string trace_dir =

@@ -2,8 +2,8 @@
 // parsing, hard budget accounting, backend-independent determinism
 // (sequential vs ThreadPool), spool resume, emitted
 // traces that replay bit-identically and round-trip through a grid
-// cell, and the comparison against the paper's hand-derived
-// LevelAttack baseline.
+// cell, artifact writes that fail naming the file, and the comparison
+// against the paper's hand-derived LevelAttack baseline.
 #include "hunt/hunt.h"
 
 #include <gtest/gtest.h>
@@ -13,12 +13,14 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "exp/runner.h"
 #include "exp/spec.h"
 #include "hunt/strategy.h"
 #include "replay/play.h"
 #include "replay/trace.h"
+#include "util/output.h"
 
 namespace dash::hunt {
 namespace {
@@ -143,6 +145,46 @@ TEST(Hunt, SpoolFromDifferentConfigIsRejected) {
   other.n = 32;  // different evaluation identity
   EXPECT_THROW(run_hunt(other), std::invalid_argument);
   fs::remove_all(dir);
+}
+
+// ---- unwritable artifacts ---------------------------------------------
+
+/// Run the tiny hunt with `artifact` (a file name inside its state dir)
+/// symlinked to /dev/full, where every write fails with ENOSPC. Returns
+/// the WriteError message ("" when the hunt passed for success) and
+/// the artifact's path.
+std::pair<std::string, std::string> hunt_with_full(
+    const std::string& tag, const std::string& artifact) {
+  const std::string dir = scratch(tag);
+  const std::string path = dir + "/" + artifact;
+  fs::create_symlink("/dev/full", path);
+  std::string error;
+  try {
+    run_hunt(tiny(dir));
+  } catch (const util::WriteError& e) {
+    error = e.what();
+  }
+  fs::remove_all(dir);
+  return {error, path};
+}
+
+TEST(Hunt, LeaderboardWriteFailureFailsNamingTheFile) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const auto [error, path] = hunt_with_full("full_board", "HUNT_hunt.json");
+  EXPECT_NE(error.find(path), std::string::npos) << "error: " << error;
+}
+
+TEST(Hunt, TraceWriteFailureFailsNamingTheFile) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const auto [error, path] =
+      hunt_with_full("full_trace", "HUNT_hunt_best1.trace");
+  EXPECT_NE(error.find(path), std::string::npos) << "error: " << error;
+}
+
+TEST(Hunt, SpoolWriteFailureFailsNamingTheSpool) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const auto [error, path] = hunt_with_full("full_spool", "spool.tsv");
+  EXPECT_NE(error.find(path), std::string::npos) << "error: " << error;
 }
 
 // ---- emitted traces ---------------------------------------------------

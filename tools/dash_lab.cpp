@@ -55,7 +55,6 @@
 #include <vector>
 
 #include "api/scenario.h"
-#include "api/serve_bench.h"
 #include "exp/chaos.h"
 #include "exp/process.h"
 #include "exp/runner.h"
@@ -71,7 +70,7 @@
 #include "replay/trace.h"
 #include "util/cli.h"
 #include "util/csv.h"
-#include "util/registry.h"
+#include "util/output.h"
 
 namespace {
 
@@ -114,11 +113,6 @@ struct LabOptions {
   std::uint64_t agents = 0;              ///< serve --agents (local)
   std::uint64_t lease_ms = 10000;        ///< serve --lease-ms
   std::uint64_t stop_after = 0;          ///< serve --stop-after
-  // serve-bench
-  std::string readers = "1,2,4,8";       ///< serve-bench --readers
-  std::uint64_t publish_every = 1;       ///< serve-bench --publish-every
-  std::uint64_t distance_every = 16;     ///< serve-bench --distance-every
-  bool verify = false;                   ///< serve-bench --verify
   // hunt
   std::string strategy = "evolve";       ///< hunt --strategy
   std::string fitness = "delta";         ///< hunt --fitness
@@ -135,8 +129,8 @@ int usage(std::FILE* to) {
   std::fprintf(
       to,
       "usage: dash_lab "
-      "<run|merge|list-cells|serve|agent|status|serve-bench|record|"
-      "replay|fuzz|hunt> [options]\n"
+      "<run|merge|list-cells|serve|agent|status|record|replay|fuzz|"
+      "hunt> [options]\n"
       "\n"
       "subcommands:\n"
       "  run         execute the grid in this process: all of it, or\n"
@@ -152,11 +146,6 @@ int usage(std::FILE* to) {
       "  agent       attach to a coordinator (--connect) and claim\n"
       "              cells until it says shutdown\n"
       "  status      print a serving coordinator's live progress\n"
-      "  serve-bench measure the concurrent serving engine: N reader\n"
-      "              threads answer queries from pinned epoch\n"
-      "              snapshots while a churn+heal scenario mutates the\n"
-      "              network; reports reads/s and p50/p99/p999, exits\n"
-      "              1 on any torn read or determinism violation\n"
       "  record      play one scenario, capturing every event as a\n"
       "              replayable trace (--trace FILE)\n"
       "  replay      re-execute a trace bit-identically, or leniently\n"
@@ -214,21 +203,8 @@ std::vector<std::string> split_commas(const std::string& s) {
   return out;
 }
 
-/// Flush `out` and throw naming `path` unless every byte written to it
-/// so far landed: a full disk must fail the command, not pass for
-/// success. Every output file of the grid verbs is checked through
-/// here.
-void flush_checked(std::ostream& out, const std::string& path) {
-  out.flush();
-  if (!out) throw std::runtime_error("cannot write '" + path + "'");
-}
-
-/// Replace the file at `path` with `content`.
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::trunc);
-  out << content;
-  flush_checked(out, path);
-}
+using dash::util::flush_checked;
+using dash::util::write_file;
 
 /// Write the merged document to --json, or stdout without it.
 void emit_document(const LabOptions& opt, const std::string& doc) {
@@ -719,37 +695,6 @@ int cmd_hunt(const LabOptions& opt) {
   return 0;
 }
 
-int cmd_serve_bench(const LabOptions& opt) {
-  dash::api::ServeBenchConfig cfg;
-  cfg.n = static_cast<std::size_t>(opt.n);
-  cfg.attach = static_cast<std::size_t>(opt.ba_edges);
-  if (!opt.healer.empty()) cfg.healer = opt.healer;
-  cfg.scenario = opt.scenario;
-  cfg.seed = opt.seed;
-  cfg.publish_every = static_cast<std::size_t>(opt.publish_every);
-  cfg.distance_every = static_cast<std::size_t>(opt.distance_every);
-  cfg.verify = opt.verify;
-  cfg.rows_path = opt.rows;
-  cfg.reader_counts.clear();
-  for (const std::string& item : split_commas(opt.readers)) {
-    cfg.reader_counts.push_back(static_cast<std::size_t>(
-        dash::util::parse_spec_uint("readers", item, 1024)));
-  }
-  if (cfg.reader_counts.empty()) {
-    throw std::invalid_argument("--readers needs at least one count");
-  }
-
-  const dash::api::ServeBenchReport report =
-      dash::api::run_serve_bench(cfg);
-  if (!opt.quiet) render_serve_table(report, std::cout);
-  if (!opt.json.empty()) {
-    std::ofstream os(opt.json);
-    render_serve_json(cfg, report, os);
-    flush_checked(os, opt.json);
-  }
-  return report.ok() ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -762,9 +707,8 @@ int main(int argc, char** argv) {
       cmd == "record" || cmd == "replay" || cmd == "fuzz";
   const bool fleet_cmd =
       cmd == "serve" || cmd == "agent" || cmd == "status";
-  const bool bench_cmd = cmd == "serve-bench";
   const bool hunt_cmd = cmd == "hunt";
-  if (!grid_cmd && !trace_cmd && !fleet_cmd && !bench_cmd && !hunt_cmd) {
+  if (!grid_cmd && !trace_cmd && !fleet_cmd && !hunt_cmd) {
     std::fprintf(stderr, "dash_lab: unknown subcommand '%s'\n\n",
                  cmd.c_str());
     return usage(stderr);
@@ -890,26 +834,6 @@ int main(int argc, char** argv) {
     opt.add_flag("no-shrink", &lab.no_shrink,
                  "keep failing mutants unshrunk (no repro files)");
   }
-  if (cmd == "serve-bench") {
-    opt.add_uint("n", &lab.n, "initial Barabasi-Albert network size");
-    opt.add_uint("ba-edges", &lab.ba_edges, "BA attachment edges");
-    opt.add_string("healer", &lab.healer,
-                   "healer registry spec (default dash)");
-    opt.add_string("scenario", &lab.scenario,
-                   "mutation scenario spec (default paper-churn)");
-    opt.add_uint("seed", &lab.seed, "base seed");
-    opt.add_string("readers", &lab.readers,
-                   "comma-separated reader thread counts to sweep");
-    opt.add_uint("publish-every", &lab.publish_every,
-                 "publish a snapshot every k-th mutation event");
-    opt.add_uint("distance-every", &lab.distance_every,
-                 "every k-th read runs the BFS cross-check (0 = never)");
-    opt.add_flag("verify", &lab.verify,
-                 "cross-check label vs BFS connectivity on every read");
-    opt.add_string("rows", &lab.rows,
-                   "stream per-round rows (async pipeline) to this CSV");
-    opt.add_string("json", &lab.json, "write the report as JSON here");
-  }
   if (cmd == "hunt") {
     lab.state_dir = "dash_hunt";
     lab.threads = 0;
@@ -973,7 +897,6 @@ int main(int argc, char** argv) {
     if (cmd == "list-cells") return cmd_list_cells(lab);
     if (cmd == "merge") return cmd_merge(lab);
     if (cmd == "serve") return cmd_serve(lab, argv[0]);
-    if (cmd == "serve-bench") return cmd_serve_bench(lab);
     if (cmd == "agent") return cmd_agent(lab);
     if (cmd == "status") return cmd_status(lab);
     if (cmd == "record") return cmd_record(lab);
