@@ -40,6 +40,7 @@ int main(int argc, char** argv) {
     opt.add_uint("sample-every", &sample_every,
                  "sample stretch every k-th deletion");
     if (!opt.parse(argc, argv)) return opt.help_requested() ? 0 : 2;
+    if (!fo.sizes_ok()) return 2;
   }
 
   // One grid over sizes x the paper's five strategies: delete half the

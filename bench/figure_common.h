@@ -56,15 +56,25 @@ struct FigureOptions {
                  "worker threads (0 = hardware concurrency)");
     const bool ok = opt.parse(argc, argv);
     help = opt.help_requested();
-    return ok;
+    return ok && sizes_ok();
   }
 
+  /// The doubling sweep min_n..max_n; throws std::invalid_argument for
+  /// a range that is not one (see util::doubling_sizes).
   std::vector<std::size_t> sizes() const {
-    std::vector<std::size_t> out;
-    for (std::uint64_t n = min_n; n <= max_n; n *= 2) {
-      out.push_back(static_cast<std::size_t>(n));
+    return util::doubling_sizes(min_n, max_n);
+  }
+
+  /// False, after printing the named error, when --min-n / --max-n do
+  /// not describe a sweep; the caller exits 2.
+  bool sizes_ok() const {
+    try {
+      sizes();
+      return true;
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return false;
     }
-    return out;
   }
 };
 
@@ -289,14 +299,11 @@ inline int run_grid_figure(const std::string& title,
 
 /// Full driver shared by Fig. 8 / 9(a) / 9(b): sweep sizes x the paper's
 /// five strategies, each cell one declarative scenario suite, and
-/// report `metric`.
-inline int run_strategy_sweep_figure(int argc, char** argv,
+/// report `metric`. `fo` is already parsed.
+inline int run_strategy_sweep_figure(const FigureOptions& fo,
                                      const std::string& title,
                                      const std::string& metric_name,
-                                     const MetricFn& metric,
-                                     FigureOptions fo = {}) {
-  if (!fo.parse(argc, argv, title)) return fo.help ? 0 : 2;
-
+                                     const MetricFn& metric) {
   // The paper's schedule: the adversary deletes until the graph is
   // gone, no observers.
   const auto spec = grid_spec(fo, metric_name,

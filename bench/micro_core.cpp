@@ -1,8 +1,8 @@
 // micro_core.cpp -- google-benchmark microbenchmarks of the data
 // structures on the healing hot path: graph mutation, BFS (full and
 // point-to-point), union-find, generators, one DASH heal step, full
-// schedules per size, and the incremental-connectivity tracker vs the
-// per-round BFS scan.
+// schedules per size, the engine's per-round connectivity cost, and the
+// incremental-connectivity tracker vs a BFS scan per check.
 #include <benchmark/benchmark.h>
 
 #include <optional>
@@ -231,17 +231,13 @@ void BM_ObserverPipelineOverhead(benchmark::State& state) {
 BENCHMARK(BM_ObserverPipelineOverhead)->Arg(256);
 
 void BM_ConnectivityPerRound(benchmark::State& state) {
-  // End-to-end comparison: a 10k-node churn scenario with an
-  // InvariantObserver asking connectivity EVERY round (battery
-  // amortized out of the measurement), answered by the incremental
-  // DynamicConnectivity tracker (mode 0) vs the per-round BFS scan
-  // (mode 1). The whole engine loop is timed -- graph mutation, heal,
-  // id propagation, churn bookkeeping -- and the tracker still wins
-  // >= 5x because the per-round scans dominate everything else. The
-  // Metrics are identical between the modes (the property suite pins
-  // that down).
+  // End to end: a 10k-node churn scenario with an InvariantObserver
+  // asking connectivity EVERY round (battery amortized out of the
+  // measurement), answered by the engine's incremental tracker. The
+  // whole engine loop is timed -- graph mutation, heal, id propagation,
+  // churn bookkeeping. BM_ConnectivityCheckReplay isolates the check
+  // itself against a BFS scan.
   const auto n = static_cast<std::size_t>(state.range(0));
-  const bool use_tracker = state.range(1) == 0;
   const auto scenario = dash::api::Scenario().churn(0.3, 0.7, 2000);
   for (auto _ : state) {
     state.PauseTiming();
@@ -249,9 +245,6 @@ void BM_ConnectivityPerRound(benchmark::State& state) {
     Graph g = dash::graph::barabasi_albert(n, 2, rng);
     dash::api::Network net(std::move(g), dash::core::make_strategy("dash"),
                            rng);
-    net.set_connectivity_mode(use_tracker
-                                  ? dash::api::ConnectivityMode::kTracker
-                                  : dash::api::ConnectivityMode::kBfs);
     dash::api::InvariantOptions inv_opts;
     inv_opts.battery_every = 0;  // isolate the connectivity cost
     net.add_observer(
@@ -262,12 +255,8 @@ void BM_ConnectivityPerRound(benchmark::State& state) {
     benchmark::DoNotOptimize(metrics.largest_component);
   }
   state.SetItemsProcessed(state.iterations() * 2000);
-  state.SetLabel(use_tracker ? "tracker" : "bfs");
 }
-BENCHMARK(BM_ConnectivityPerRound)
-    ->Args({10000, 0})
-    ->Args({10000, 1})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ConnectivityPerRound)->Arg(10000)->Unit(benchmark::kMillisecond);
 
 /// One recorded churn event for BM_ConnectivityCheckReplay: a join
 /// (new node wired to two peers) or a deletion plus the path of heal

@@ -1,8 +1,9 @@
 # cli_errors_smoke.cmake -- the CLI error paths, run as a ctest: a bad
-# healer name exits 2 listing the registered healers, and an output
-# file that cannot be written (/dev/full, a missing directory, a hunt
-# artifact symlinked to /dev/full) exits 1 with "cannot write" instead
-# of reporting it written.
+# healer name exits 2 listing the registered healers, a bad size sweep
+# exits 2 naming the flag, and an output file that cannot be written
+# (/dev/full, a missing directory, a hunt artifact symlinked to
+# /dev/full) exits 1 with "cannot write" instead of reporting it
+# written.
 #
 #   cmake -DBIN_DIR=<dir with the binaries> -DWORK_DIR=<scratch dir>
 #         -P cli_errors_smoke.cmake
@@ -29,6 +30,19 @@ endfunction()
 expect("quickstart --healer bogus" 2
        "unknown healing strategy: 'bogus' \\(registered: dash, sdash"
        quickstart --n 32 --healer bogus)
+
+# A size sweep that is not one fails by name before any work: --min-n 0
+# never advances the doubling, --min-n above --max-n is empty, and a
+# --max-n past the node id range would wrap the doubling.
+foreach(binary fig8_degree_increase sweep_cli sim_distributed)
+  expect("${binary} --min-n 0" 2 "--min-n must be >= 1"
+         ${binary} --min-n 0 --max-n 64 --instances 1)
+  expect("${binary} --min-n 64 --max-n 32" 2 "--min-n 64 exceeds --max-n 32"
+         ${binary} --min-n 64 --max-n 32 --instances 1)
+  expect("${binary} --max-n 2^63" 2
+         "--max-n 9223372036854775808 exceeds the largest graph size"
+         ${binary} --min-n 64 --max-n 9223372036854775808 --instances 1)
+endforeach()
 
 set(FIG --min-n 16 --max-n 16 --instances 1)
 expect("fig8 --json to a missing directory" 1

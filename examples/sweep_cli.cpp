@@ -130,10 +130,7 @@ int main(int argc, char** argv) {
     dash::exp::ExperimentSpec spec;
     spec.name = "sweep";
     spec.families = {family};
-    spec.sizes.clear();
-    for (std::uint64_t n = min_n; n <= max_n; n *= 2) {
-      spec.sizes.push_back(static_cast<std::size_t>(n));
-    }
+    spec.sizes = dash::util::doubling_sizes(min_n, max_n);
     spec.healers = split_csv(healers);
     spec.scenarios = {dash::api::Scenario::parse(scenario).spec()};
     spec.instances = static_cast<std::size_t>(instances);

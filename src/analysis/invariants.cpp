@@ -118,7 +118,7 @@ Check check_delta_bound(const HealingState& state, std::size_t n) {
 }
 
 Check check_component_tracker(const Graph& g,
-                              graph::DynamicConnectivity& tracker) {
+                              const graph::DynamicConnectivity& tracker) {
   const graph::Components truth = graph::connected_components(g);
   if (tracker.component_count() != truth.count()) {
     return Check::fail("tracker counts " +

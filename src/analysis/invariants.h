@@ -65,9 +65,10 @@ Check check_delta_consistency(const Graph& g, const HealingState& state);
 
 /// Differential check for the incremental connectivity subsystem: the
 /// tracker's component structure (count, largest size, and the full
-/// alive-node partition) matches a fresh BFS labelling of `g`. Non-const
-/// tracker: queries flush its lazy re-scan.
+/// alive-node partition) matches a fresh BFS labelling of `g`.
+/// InvariantObserver runs it on the engine's tracker with the rest of
+/// the battery.
 Check check_component_tracker(const Graph& g,
-                              graph::DynamicConnectivity& tracker);
+                              const graph::DynamicConnectivity& tracker);
 
 }  // namespace dash::analysis

@@ -1,13 +1,11 @@
 #include "api/network.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
 
 #include "api/serve.h"
 #include "core/batch.h"
 #include "core/factory.h"
-#include "graph/traversal.h"
 #include "util/check.h"
 
 namespace dash::api {
@@ -19,83 +17,51 @@ using graph::NodeId;
 
 namespace {
 
-/// DASH_VERIFY_CONNECTIVITY=1 flips every owning engine into kVerify:
-/// each tracker answer is cross-checked against the BFS scan.
-bool env_verify_connectivity() {
-  static const bool on = [] {
-    const char* v = std::getenv("DASH_VERIFY_CONNECTIVITY");
-    return v != nullptr && v[0] != '\0' && v[0] != '0';
-  }();
-  return on;
+/// The healing state's initial ids, drawn from a fresh stream.
+HealingState seeded_state(const Graph& g, std::uint64_t seed) {
+  dash::util::Rng rng(seed);
+  return HealingState(g, rng);
 }
 
 }  // namespace
 
 bool RoundEvent::connected() const {
+  // Events detached from an engine (unit-test fixtures) default to
+  // connected; engine-emitted events carry the engine's tracker.
   if (!connected_.has_value()) {
-    if (tracker_ != nullptr) {
-      const bool fast = tracker_->connected();
-      if (verify_) {
-        DASH_CHECK_MSG(fast == graph::is_connected(*graph_),
-                       "DynamicConnectivity disagrees with the BFS scan");
-      }
-      connected_ = fast;
-    } else {
-      // Events detached from an engine (unit-test fixtures) default to
-      // connected; engine-emitted events carry their graph.
-      connected_ = graph_ == nullptr || graph::is_connected(*graph_);
-    }
+    connected_ = tracker_ == nullptr || tracker_->connected();
   }
   return *connected_;
 }
 
 Network::Network(Graph g, std::unique_ptr<core::HealingStrategy> healer,
                  dash::util::Rng& rng)
-    : owned_g_(std::move(g)),
-      owned_healer_(std::move(healer)),
-      g_(&*owned_g_),
-      healer_(owned_healer_.get()) {
+    : g_(std::move(g)),
+      state_(g_, rng),
+      healer_(std::move(healer)),
+      tracker_(g_),
+      initial_size_(g_.num_alive()) {
   DASH_CHECK_MSG(healer_ != nullptr, "Network needs a healing strategy");
-  owned_state_.emplace(*g_, rng);
-  state_ = &*owned_state_;
-  initial_size_ = g_->num_alive();
-  init_tracker();
 }
 
 Network::Network(Graph g, const std::string& healer_spec,
                  std::uint64_t seed)
-    : owned_g_(std::move(g)),
-      owned_healer_(core::make_strategy(healer_spec)),
-      g_(&*owned_g_),
-      healer_(owned_healer_.get()) {
-  dash::util::Rng rng(seed);
-  owned_state_.emplace(*g_, rng);
-  state_ = &*owned_state_;
-  initial_size_ = g_->num_alive();
-  init_tracker();
-}
+    : g_(std::move(g)),
+      state_(seeded_state(g_, seed)),
+      healer_(core::make_strategy(healer_spec)),
+      tracker_(g_),
+      initial_size_(g_.num_alive()) {}
 
 Network::Network(Graph g, std::unique_ptr<core::HealingStrategy> healer,
                  HealingState state)
-    : owned_g_(std::move(g)),
-      owned_state_(std::move(state)),
-      owned_healer_(std::move(healer)),
-      g_(&*owned_g_),
-      state_(&*owned_state_),
-      healer_(owned_healer_.get()) {
+    : g_(std::move(g)),
+      state_(std::move(state)),
+      healer_(std::move(healer)),
+      tracker_(g_),
+      initial_size_(g_.num_alive()) {
   DASH_CHECK_MSG(healer_ != nullptr, "Network needs a healing strategy");
-  DASH_CHECK_MSG(state_->num_nodes() == g_->num_nodes(),
+  DASH_CHECK_MSG(state_.num_nodes() == g_.num_nodes(),
                  "checkpointed healing state does not match the graph");
-  initial_size_ = g_->num_alive();
-  init_tracker();
-}
-
-Network::Network(Graph& g, HealingState& state,
-                 core::HealingStrategy& healer)
-    : g_(&g), state_(&state), healer_(&healer) {
-  initial_size_ = g_->num_alive();
-  // Borrowed graphs may be mutated externally between events, which
-  // would desync an incremental tracker: stay on the BFS path.
 }
 
 Network::~Network() = default;
@@ -108,26 +74,6 @@ ServeHandle& Network::serve(const ServeOptions& opts) {
     add_observer(&serve_->publisher_);
   }
   return *serve_;
-}
-
-void Network::init_tracker() {
-  tracker_.emplace(*g_);
-  conn_mode_ = env_verify_connectivity() ? ConnectivityMode::kVerify
-                                         : ConnectivityMode::kTracker;
-}
-
-void Network::set_connectivity_mode(ConnectivityMode mode) {
-  DASH_CHECK_MSG(mode == ConnectivityMode::kBfs || tracker_.has_value(),
-                 "tracker modes need an owning engine");
-  // The env debug flag outranks programmatic tracker requests, so a
-  // DASH_VERIFY_CONNECTIVITY=1 run cross-checks even suites that
-  // configure their own modes (answers are identical either way; only
-  // an explicit kBfs stays plain -- it is the reference side of the
-  // differential).
-  if (mode == ConnectivityMode::kTracker && env_verify_connectivity()) {
-    mode = ConnectivityMode::kVerify;
-  }
-  conn_mode_ = mode;
 }
 
 void Network::attach(Observer* obs) {
@@ -165,10 +111,7 @@ void Network::finish_round(RoundEvent& ev) {
   // cached this early would be another round's answer leaking through.
   DASH_CHECK_MSG(!ev.connectivity_checked(),
                  "stale RoundEvent::connected cache leaked across rounds");
-  ev.graph_ = g_;
-  ev.tracker_ =
-      conn_mode_ != ConnectivityMode::kBfs ? &*tracker_ : nullptr;
-  ev.verify_ = conn_mode_ == ConnectivityMode::kVerify;
+  ev.tracker_ = &tracker_;
   if (force_connectivity_checks_) (void)ev.connected();
   if (ev.ctx != nullptr) {
     for (Observer* obs : observers_) obs->on_heal(*this, ev);
@@ -183,22 +126,20 @@ void Network::finish_round(RoundEvent& ev) {
 }
 
 HealAction Network::remove(NodeId v) {
-  DASH_CHECK_MSG(g_->alive(v), "removing a dead node");
+  DASH_CHECK_MSG(g_.alive(v), "removing a dead node");
   notify_round_begin(engine_.deletions + 1);
 
-  const core::DeletionContext ctx = state_->begin_deletion(*g_, v);
-  const auto removed_neighbors = g_->delete_node(v);
+  const core::DeletionContext ctx = state_.begin_deletion(g_, v);
+  const auto removed_neighbors = g_.delete_node(v);
   DASH_CHECK(removed_neighbors == ctx.neighbors_g);
 
-  const HealAction action = healer_->heal(*g_, *state_, ctx);
+  const HealAction action = healer_->heal(g_, state_, ctx);
 
-  if (tracker_.has_value()) {
-    for (const auto& [a, b] : action.new_graph_edges) {
-      tracker_->edge_added(a, b);
-    }
-    tracker_->node_removed(v, ctx.neighbors_g,
-                           !survivors_reconnected(ctx.neighbors_g));
+  for (const auto& [a, b] : action.new_graph_edges) {
+    tracker_.edge_added(a, b);
   }
+  tracker_.node_removed(v, ctx.neighbors_g,
+                        !survivors_reconnected(ctx.neighbors_g));
 
   ++engine_.deletions;
   engine_.edges_added += action.new_graph_edges.size();
@@ -222,34 +163,31 @@ std::vector<HealAction> Network::remove_batch(
   notify_round_begin(engine_.deletions + batch.size());
 
   const core::BatchDeletionContext ctx =
-      core::begin_batch_deletion(*state_, *g_, batch);
-  core::delete_batch(*g_, batch);
+      core::begin_batch_deletion(state_, g_, batch);
+  core::delete_batch(g_, batch);
 
-  const auto actions = core::dash_heal_batch(*g_, *state_, ctx);
+  const auto actions = core::dash_heal_batch(g_, state_, ctx);
 
-  if (tracker_.has_value()) {
-    for (const auto& action : actions) {
-      for (const auto& [a, b] : action.new_graph_edges) {
-        tracker_->edge_added(a, b);
-      }
+  for (const auto& action : actions) {
+    for (const auto& [a, b] : action.new_graph_edges) {
+      tracker_.edge_added(a, b);
     }
-    // Seeds for the lazy re-scan: every remnant of the touched
-    // components holds a surviving neighbor of some cluster.
-    std::vector<NodeId> survivors;
-    for (const auto& cluster : ctx.clusters) {
-      survivors.insert(survivors.end(), cluster.survivor_neighbors.begin(),
-                       cluster.survivor_neighbors.end());
-    }
-    std::sort(survivors.begin(), survivors.end());
-    survivors.erase(std::unique(survivors.begin(), survivors.end()),
-                    survivors.end());
-    // Batch rounds get the same per-cluster certificate single
-    // deletions do: when every survivor still shares one healing-forest
-    // component, the round cannot have split and the tracker skips the
-    // lazy re-scan entirely.
-    tracker_->batch_removed(batch, survivors,
-                            !survivors_reconnected(survivors));
   }
+  // Seeds for the lazy re-scan: every remnant of the touched
+  // components holds a surviving neighbor of some cluster.
+  std::vector<NodeId> survivors;
+  for (const auto& cluster : ctx.clusters) {
+    survivors.insert(survivors.end(), cluster.survivor_neighbors.begin(),
+                     cluster.survivor_neighbors.end());
+  }
+  std::sort(survivors.begin(), survivors.end());
+  survivors.erase(std::unique(survivors.begin(), survivors.end()),
+                  survivors.end());
+  // Batch rounds get the same per-cluster certificate single deletions
+  // do: when every survivor still shares one healing-forest component,
+  // the round cannot have split and the tracker skips the lazy re-scan
+  // entirely.
+  tracker_.batch_removed(batch, survivors, !survivors_reconnected(survivors));
 
   engine_.deletions += batch.size();
   std::size_t round_edges = 0;
@@ -270,13 +208,11 @@ std::vector<HealAction> Network::remove_batch(
 }
 
 NodeId Network::join(const std::vector<NodeId>& attach_to) {
-  const NodeId joined = state_->join_node(*g_, attach_to);
-  if (tracker_.has_value()) {
-    tracker_->node_added(joined);
-    for (NodeId t : attach_to) tracker_->edge_added(joined, t);
-  }
+  const NodeId joined = state_.join_node(g_, attach_to);
+  tracker_.node_added(joined);
+  for (NodeId t : attach_to) tracker_.edge_added(joined, t);
   ++engine_.joins;
-  if (attach_to.empty() && g_->num_alive() > 1) {
+  if (attach_to.empty() && g_.num_alive() > 1) {
     // An unattached newcomer is its own component.
     last_connected_ = false;
     engine_.stayed_connected = false;
@@ -292,11 +228,11 @@ Metrics Network::run(attack::AttackStrategy& attacker,
   // the otherwise-lazy per-round connectivity scan for this run.
   const bool saved_force = force_connectivity_checks_;
   force_connectivity_checks_ |= opts.stop_when_disconnected;
-  while (g_->num_alive() > 1 && engine_.deletions < opts.max_deletions) {
+  while (g_.num_alive() > 1 && engine_.deletions < opts.max_deletions) {
     if (opts.stop_condition && opts.stop_condition(*this)) break;
-    const NodeId victim = attacker.select(*g_, *state_);
+    const NodeId victim = attacker.select(g_, state_);
     if (victim == graph::kInvalidNode) break;  // attack finished early
-    DASH_CHECK_MSG(g_->alive(victim), "attacker chose a dead node");
+    DASH_CHECK_MSG(g_.alive(victim), "attacker chose a dead node");
     remove(victim);
     if (!last_connected_ && opts.stop_when_disconnected) break;
   }
@@ -307,63 +243,40 @@ Metrics Network::run(attack::AttackStrategy& attacker,
 bool Network::survivors_reconnected(
     const std::vector<NodeId>& survivors) const {
   if (survivors.size() < 2) return true;
+  // Without the id invariant a shared id proves nothing: seed the scan.
+  if (!healer_->maintains_component_ids()) return false;
   // One shared post-heal component id places every survivor in one
   // healing-forest component, whose edges all exist in G among alive
   // nodes (E' subset of E) -- so the survivors are mutually reachable
   // without the deleted node. This trusts exactly the id invariants
   // the InvariantObserver battery verifies (check_component_ids,
-  // check_healing_subgraph); kVerify cross-checks the conclusion
-  // against the scan.
-  const std::uint64_t id = state_->component_id(survivors.front());
+  // check_healing_subgraph), and the battery's tracker cross-check
+  // (check_component_tracker) tests the conclusion against a BFS.
+  const std::uint64_t id = state_.component_id(survivors.front());
   for (std::size_t i = 1; i < survivors.size(); ++i) {
-    if (state_->component_id(survivors[i]) != id) return false;
+    if (state_.component_id(survivors[i]) != id) return false;
   }
   return true;
 }
 
-bool Network::current_connected() const {
-  if (conn_mode_ == ConnectivityMode::kBfs) {
-    return graph::is_connected(*g_);
-  }
-  const bool fast = tracker_->connected();
-  if (conn_mode_ == ConnectivityMode::kVerify) {
-    DASH_CHECK_MSG(fast == graph::is_connected(*g_),
-                   "DynamicConnectivity disagrees with the BFS scan");
-  }
-  return fast;
-}
-
 std::pair<std::size_t, std::size_t> Network::component_snapshot() const {
-  if (conn_mode_ == ConnectivityMode::kBfs) {
-    const graph::Components comps = graph::connected_components(*g_);
-    return {comps.count(), comps.largest()};
-  }
-  const std::pair<std::size_t, std::size_t> fast{
-      tracker_->component_count(), tracker_->largest_component()};
-  if (conn_mode_ == ConnectivityMode::kVerify) {
-    const graph::Components comps = graph::connected_components(*g_);
-    DASH_CHECK_MSG(fast.first == comps.count() &&
-                       fast.second == comps.largest(),
-                   "DynamicConnectivity component structure disagrees "
-                   "with the BFS labelling");
-  }
-  return fast;
+  return {tracker_.component_count(), tracker_.largest_component()};
 }
 
 std::size_t Network::component_count() const {
-  return component_snapshot().first;
+  return tracker_.component_count();
 }
 
 std::size_t Network::largest_component() const {
-  return component_snapshot().second;
+  return tracker_.largest_component();
 }
 
 Metrics Network::metrics() const {
   Metrics m = engine_;
-  m.max_delta = state_->max_delta_ever();
-  m.max_id_changes = state_->max_id_changes();
-  m.max_messages = state_->max_messages();
-  m.max_messages_sent = state_->max_messages_sent();
+  m.max_delta = state_.max_delta_ever();
+  m.max_id_changes = state_.max_id_changes();
+  m.max_messages = state_.max_messages();
+  m.max_messages_sent = state_.max_messages_sent();
   const auto [components, largest] = component_snapshot();
   m.components = components;
   m.largest_component = largest;
@@ -379,8 +292,8 @@ Metrics Network::finish() {
   // callers who care about transient disconnection (NoHeal studies)
   // must ask per round, via stop_when_disconnected or an observer that
   // reads RoundEvent::connected().
-  if (engine_.stayed_connected && g_->num_alive() > 1 &&
-      !current_connected()) {
+  if (engine_.stayed_connected && g_.num_alive() > 1 &&
+      !tracker_.connected()) {
     engine_.stayed_connected = false;
     last_connected_ = false;
   }

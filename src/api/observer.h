@@ -47,24 +47,20 @@ struct RoundEvent {
   std::size_t edges_added = 0;
 
   /// Post-heal connectivity of the network. Computed lazily on the
-  /// first call and cached for the rest of the round's pipeline. For
-  /// engines in tracker mode the answer comes from the incremental
-  /// graph::DynamicConnectivity (O(alpha) on certified rounds); in BFS
-  /// mode -- and for events detached from an engine -- it is the full
-  /// O(n+m) scan. Rounds where nothing asks pay nothing either way.
-  /// The engine folds any computed value into Metrics::stayed_connected
-  /// after the observers ran.
+  /// first call and cached for the rest of the round's pipeline, from
+  /// the engine's incremental graph::DynamicConnectivity (O(alpha) on
+  /// certified rounds); events detached from an engine answer true.
+  /// Rounds where nothing asks pay nothing. The engine folds any
+  /// computed value into Metrics::stayed_connected after the observers
+  /// ran.
   bool connected() const;
   /// True once some pipeline stage paid for the connectivity check.
   bool connectivity_checked() const { return connected_.has_value(); }
 
  private:
   friend class Network;
-  const graph::Graph* graph_ = nullptr;
-  /// Null for detached events and engines in BFS mode.
-  graph::DynamicConnectivity* tracker_ = nullptr;
-  /// kVerify engines cross-check every tracker answer against the scan.
-  bool verify_ = false;
+  /// Null for detached events.
+  const graph::DynamicConnectivity* tracker_ = nullptr;
   /// Round-scoped cache. The engine constructs a fresh event per round
   /// and asserts this is unset when the round's pipeline starts, so a
   /// stale verdict can never leak across rounds.

@@ -27,9 +27,14 @@ void InvariantObserver::run_battery(const Network& net,
   if (c.ok && net.healer().maintains_forest()) {
     c = analysis::check_forest(g, state);
   }
-  if (c.ok) c = analysis::check_component_ids(g, state);
+  if (c.ok && net.healer().maintains_component_ids()) {
+    c = analysis::check_component_ids(g, state);
+  }
   if (c.ok) c = analysis::check_healing_subgraph(g, state);
   if (c.ok) c = analysis::check_delta_consistency(g, state);
+  if (c.ok) {
+    c = analysis::check_component_tracker(g, *net.connectivity_tracker());
+  }
   if (c.ok && opts_.check_rem_bound) c = analysis::check_rem_bound(g, state);
   if (c.ok && opts_.check_delta_bound) {
     c = analysis::check_delta_bound(state, initial_size_);
@@ -40,7 +45,7 @@ void InvariantObserver::run_battery(const Network& net,
 void InvariantObserver::on_round_end(const Network& net,
                                      const RoundEvent& ev) {
   // The connectivity guarantee is checked every round -- asking the
-  // event is O(alpha) on tracker-mode engines, and the engine folds
+  // event is O(alpha) on the engine's tracker, and the engine folds
   // the answer into Metrics::stayed_connected.
   if (violation_.empty() && !ev.connected()) {
     violation_ = "network disconnected after round " +

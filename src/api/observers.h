@@ -1,7 +1,8 @@
 // observers.h -- the built-in measurement observers:
 //
 //   InvariantObserver -- the full per-round invariant battery
-//                        (+ optional DASH-only rem / delta bounds),
+//                        (+ optional DASH-only rem / delta bounds,
+//                        + the tracker-vs-BFS component cross-check),
 //                        amortizable via InvariantOptions::battery_every
 //   ComponentObserver -- per-round component count / largest component
 //                        via the engine's incremental tracker
@@ -41,7 +42,7 @@ struct InvariantOptions {
   /// round and every join; k > 1 amortizes it over every k-th round
   /// (joins skipped); 0 disables the periodic battery entirely. The
   /// per-round *connectivity* ask is unaffected -- it always happens
-  /// and is O(alpha) on engines in tracker mode. Whenever the cadence
+  /// and is O(alpha) on the engine's tracker. Whenever the cadence
   /// skips events (anything but 1), a final battery sweep still runs
   /// in on_finish, so end-state violations are never missed; only
   /// per-event locality records of skipped events go unchecked.
@@ -50,7 +51,11 @@ struct InvariantOptions {
 
 /// Evaluates the invariant battery after every round (and every join);
 /// remembers the first violation and contributes it to Metrics.
-/// Slow (integration tests switch it on, figure benches do not).
+/// Besides the paper's properties the battery cross-checks the engine's
+/// connectivity tracker against a fresh BFS labelling
+/// (analysis::check_component_tracker), so every suite that attaches
+/// this observer differential-tests the engine's only connectivity
+/// path. Slow (integration tests switch it on, figure benches do not).
 class InvariantObserver final : public Observer {
  public:
   explicit InvariantObserver(InvariantOptions opts = {}) : opts_(opts) {}
@@ -74,9 +79,8 @@ class InvariantObserver final : public Observer {
 };
 
 /// Samples the component structure (count + largest component) after
-/// every round and join through the engine's component queries --
-/// incremental-tracker-backed for owning engines, one BFS labelling
-/// per ask in kBfs mode, identical values either way. Tracks the
+/// every round and join through the engine's component queries (its
+/// incremental tracker). Tracks the
 /// extremes over the run: peak fragmentation and the smallest
 /// largest-component seen (both including the initial state).
 class ComponentObserver final : public Observer {

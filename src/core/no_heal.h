@@ -13,6 +13,7 @@ class NoHealStrategy final : public HealingStrategy {
   std::string name() const override { return "NoHeal"; }
   HealAction heal(Graph& g, HealingState& state,
                   const DeletionContext& ctx) override;
+  bool maintains_component_ids() const override { return false; }
   std::unique_ptr<HealingStrategy> clone() const override {
     return std::make_unique<NoHealStrategy>(*this);
   }

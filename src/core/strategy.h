@@ -43,6 +43,15 @@ class HealingStrategy {
   /// GraphHeal does not. Invariant checks consult this.
   virtual bool maintains_forest() const { return true; }
 
+  /// After every heal, component ids are uniform inside each
+  /// G'-component and distinct across them (the healing forest is
+  /// reconnected around the deleted node). NoHeal does not reconnect:
+  /// once a batch round (always DASH-healed) has built G' edges, a
+  /// NoHeal deletion leaves the pieces of a split G'-tree sharing one
+  /// id. The engine's connectivity certificate and the invariant
+  /// battery consult this.
+  virtual bool maintains_component_ids() const { return true; }
+
   virtual std::unique_ptr<HealingStrategy> clone() const = 0;
 };
 

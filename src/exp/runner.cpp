@@ -18,13 +18,6 @@ namespace dash::exp {
 
 namespace {
 
-api::ConnectivityMode parse_mode(const std::string& mode) {
-  if (mode == "tracker") return api::ConnectivityMode::kTracker;
-  if (mode == "bfs") return api::ConnectivityMode::kBfs;
-  if (mode == "verify") return api::ConnectivityMode::kVerify;
-  throw std::invalid_argument("unknown connectivity mode '" + mode + "'");
-}
-
 /// Scan an expected literal; advances *pos past it on success.
 bool expect(const std::string& s, std::size_t* pos, const char* lit) {
   const std::size_t len = std::char_traits<char>::length(lit);
@@ -78,26 +71,23 @@ CellResult run_cell(
     dash::util::ThreadPool* pool,
     const std::function<void(const Cell&, const std::vector<api::RoundRow>&)>&
         on_rows) {
-  const api::ConnectivityMode mode = parse_mode(spec.connectivity);
   api::SuiteConfig cfg;
   cfg.make_graph = make_family(cell.family, cell.n, spec.ba_edges);
   cfg.make_healer = api::healer_factory(cell.healer);
   cfg.scenario = api::Scenario::parse(cell.scenario);
   cfg.instances = cell.instances;
   cfg.base_seed = cell.seed;
-  api::StretchObserverOptions stretch_opts;
-  stretch_opts.sample_every = spec.stretch_every;
-  stretch_opts.estimate = cell.stretch_estimate;
-  stretch_opts.landmarks = cell.stretch_landmarks;
-  stretch_opts.pairs = cell.stretch_pairs;
-  const std::size_t stretch_every = spec.stretch_every;
-  cfg.configure = [stretch_every, stretch_opts, mode](api::Network& net) {
-    if (stretch_every > 0) {
+  if (spec.stretch_every > 0) {
+    api::StretchObserverOptions stretch_opts;
+    stretch_opts.sample_every = spec.stretch_every;
+    stretch_opts.estimate = cell.stretch_estimate;
+    stretch_opts.landmarks = cell.stretch_landmarks;
+    stretch_opts.pairs = cell.stretch_pairs;
+    cfg.configure = [stretch_opts](api::Network& net) {
       net.add_observer(
           std::make_unique<api::StretchObserver>(stretch_opts));
-    }
-    net.set_connectivity_mode(mode);
-  };
+    };
+  }
   // Row capture only changes what is observed, never the run itself
   // (SinkObserver reads the engine's incremental component tracker),
   // so metrics stay byte-identical with or without on_rows.

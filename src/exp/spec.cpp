@@ -123,8 +123,6 @@ void assign(ExperimentSpec* spec, std::vector<std::string>* seen,
   } else if (key == "stretch_pairs") {
     spec->stretch_pairs =
         static_cast<std::size_t>(parse_u64_value(key, value));
-  } else if (key == "connectivity") {
-    spec->connectivity = require_scalar(key, value);
   } else if (key == "labels") {
     spec->labels = require_scalar(key, value);
   } else {
@@ -132,7 +130,7 @@ void assign(ExperimentSpec* spec, std::vector<std::string>* seen,
         "unknown experiment key '" + key +
         "' (known: name, family, n, healer, scenario, instances, seed, "
         "ba_edges, stretch_every, stretch_estimate, stretch_landmarks, "
-        "stretch_pairs, connectivity, labels)");
+        "stretch_pairs, labels)");
   }
 }
 
@@ -265,12 +263,6 @@ void ExperimentSpec::validate() const {
     reject_separator_chars("scenario", scenario);
     api::Scenario::parse(scenario);  // throws, listing registered phases
   }
-  if (connectivity != "tracker" && connectivity != "bfs" &&
-      connectivity != "verify") {
-    throw std::invalid_argument("unknown connectivity mode '" +
-                                connectivity +
-                                "' (tracker, bfs, or verify)");
-  }
   if (labels != "display" && labels != "spec") {
     throw std::invalid_argument("unknown labels mode '" + labels +
                                 "' (display or spec)");
@@ -306,7 +298,7 @@ std::string ExperimentSpec::canonical() const {
   if (stretch_estimate) os << " stretch_estimate=1";
   if (stretch_landmarks != 16) os << " stretch_landmarks=" << stretch_landmarks;
   if (stretch_pairs != 256) os << " stretch_pairs=" << stretch_pairs;
-  os << " connectivity=" << connectivity << " labels=" << labels;
+  os << " labels=" << labels;
   return os.str();
 }
 

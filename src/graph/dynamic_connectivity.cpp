@@ -35,13 +35,13 @@ DynamicConnectivity::DynamicConnectivity(const Graph& g)
 
 // ---- size histogram -----------------------------------------------------
 
-void DynamicConnectivity::hist_add(std::size_t s) {
+void DynamicConnectivity::hist_add(std::size_t s) const {
   if (s >= size_count_.size()) size_count_.resize(s + 1, 0);
   ++size_count_[s];
   if (s > largest_) largest_ = s;
 }
 
-void DynamicConnectivity::hist_remove(std::size_t s) {
+void DynamicConnectivity::hist_remove(std::size_t s) const {
   DASH_DCHECK(s < size_count_.size() && size_count_[s] > 0);
   --size_count_[s];
   while (largest_ > 0 && size_count_[largest_] == 0) --largest_;
@@ -127,29 +127,29 @@ void DynamicConnectivity::batch_removed(
 
 // ---- queries ----------------------------------------------------------------
 
-bool DynamicConnectivity::connected() {
+bool DynamicConnectivity::connected() const {
   flush();
   return g_->num_alive() <= 1 || components_ <= 1;
 }
 
-std::size_t DynamicConnectivity::component_count() {
+std::size_t DynamicConnectivity::component_count() const {
   flush();
   return components_;
 }
 
-std::size_t DynamicConnectivity::largest_component() {
+std::size_t DynamicConnectivity::largest_component() const {
   flush();
   return largest_;
 }
 
-bool DynamicConnectivity::same_component(NodeId a, NodeId b) {
+bool DynamicConnectivity::same_component(NodeId a, NodeId b) const {
   DASH_CHECK_MSG(g_->alive(a) && g_->alive(b),
                  "same_component needs alive nodes");
   flush();
   return uf_.connected(a, b);
 }
 
-std::size_t DynamicConnectivity::component_size(NodeId v) {
+std::size_t DynamicConnectivity::component_size(NodeId v) const {
   DASH_CHECK_MSG(g_->alive(v), "component_size needs an alive node");
   flush();
   return alive_size_[uf_.find(v)];
@@ -163,7 +163,7 @@ void DynamicConnectivity::seed(NodeId v) {
   seeds_.push_back(v);
 }
 
-void DynamicConnectivity::flush() {
+void DynamicConnectivity::flush() const {
   if (seeds_.empty()) return;
   ++epoch_;
 

@@ -84,21 +84,24 @@ class DynamicConnectivity {
                      const std::vector<NodeId>& survivors, bool may_split);
 
   // ---- queries (amortized: flush any pending re-scan first) -----------
+  //
+  // Const: the flush only settles the lazy re-scan (and path-compresses
+  // the union-find); the answers are fixed by the mutation stream.
 
   /// All alive nodes form one component (vacuously true for <= 1).
-  bool connected();
+  bool connected() const;
 
   /// Number of components among alive nodes (0 when none are alive).
-  std::size_t component_count();
+  std::size_t component_count() const;
 
   /// Size of the largest component (0 when no nodes are alive).
-  std::size_t largest_component();
+  std::size_t largest_component() const;
 
   /// Both nodes alive and in the same component.
-  bool same_component(NodeId a, NodeId b);
+  bool same_component(NodeId a, NodeId b) const;
 
   /// Size of the component containing alive node v.
-  std::size_t component_size(NodeId v);
+  std::size_t component_size(NodeId v) const;
 
   // ---- instrumentation ------------------------------------------------
 
@@ -111,35 +114,36 @@ class DynamicConnectivity {
   bool rescan_pending() const { return !seeds_.empty(); }
 
  private:
-  void flush();
+  void flush() const;
   void seed(NodeId v);
-  void hist_add(std::size_t s);
-  void hist_remove(std::size_t s);
+  void hist_add(std::size_t s) const;
+  void hist_remove(std::size_t s) const;
   /// Shared deletion bookkeeping: drop one alive member from v's set.
   void drop_alive_member(NodeId v);
 
   const Graph* g_;
-  UnionFind uf_;
+  // The lazy re-scan state below is mutable: const queries flush it.
+  mutable UnionFind uf_;
   /// Alive members per set, valid at current roots only.
-  std::vector<std::uint32_t> alive_size_;
+  mutable std::vector<std::uint32_t> alive_size_;
   /// Histogram of alive-set sizes; largest_ is its maintained maximum.
-  std::vector<std::uint32_t> size_count_;
-  std::size_t largest_ = 0;
-  std::size_t components_ = 0;
+  mutable std::vector<std::uint32_t> size_count_;
+  mutable std::size_t largest_ = 0;
+  mutable std::size_t components_ = 0;
 
-  std::vector<NodeId> seeds_;
-  std::vector<char> is_seed_;
+  mutable std::vector<NodeId> seeds_;
+  mutable std::vector<char> is_seed_;
   /// Epoch-stamped scratch marks (no O(n) clearing per flush).
-  std::vector<std::uint64_t> visit_epoch_;
-  std::vector<std::uint64_t> root_epoch_;
-  std::uint64_t epoch_ = 0;
+  mutable std::vector<std::uint64_t> visit_epoch_;
+  mutable std::vector<std::uint64_t> root_epoch_;
+  mutable std::uint64_t epoch_ = 0;
   /// Re-scan workspace: the flush BFS packs its groups here
   /// (scan_offsets_ delimits them), reused across flushes.
-  std::vector<NodeId> scan_nodes_;
-  std::vector<std::size_t> scan_offsets_;
+  mutable std::vector<NodeId> scan_nodes_;
+  mutable std::vector<std::size_t> scan_offsets_;
 
-  std::size_t rebuilds_ = 0;
-  std::size_t nodes_rescanned_ = 0;
+  mutable std::size_t rebuilds_ = 0;
+  mutable std::size_t nodes_rescanned_ = 0;
 };
 
 }  // namespace dash::graph

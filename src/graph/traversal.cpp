@@ -263,14 +263,6 @@ void connected_components(const FlatView& view, TraversalScratch& scratch,
   }
 }
 
-std::uint32_t eccentricity(const FlatView& view, NodeId src,
-                           TraversalScratch& scratch) {
-  bfs_distances(view, src, scratch);
-  // BFS discovery order is nondecreasing in distance: the last node
-  // visited carries the eccentricity.
-  return scratch.distance(scratch.visited().back());
-}
-
 // ---- legacy wrappers -------------------------------------------------
 
 namespace {
@@ -304,23 +296,6 @@ Components connected_components(const Graph& g) {
   Components out;
   connected_components(g.flat_view(), local_scratch(), out);
   return out;
-}
-
-std::uint32_t eccentricity(const Graph& g, NodeId src) {
-  DASH_CHECK(g.alive(src));
-  return eccentricity(g.flat_view(), src, local_scratch());
-}
-
-std::uint32_t diameter(const Graph& g) {
-  const FlatView& view = g.flat_view();
-  if (view.num_alive() <= 1) return 0;
-  TraversalScratch& scratch = local_scratch();
-  if (!is_connected(view, scratch)) return kUnreachable;
-  std::uint32_t diam = 0;
-  for (NodeId v : view.alive_nodes()) {
-    diam = std::max(diam, eccentricity(view, v, scratch));
-  }
-  return diam;
 }
 
 std::vector<std::uint32_t> all_pairs_distances(const Graph& g) {

@@ -1,6 +1,6 @@
 // traversal.h -- BFS-based queries over the alive subgraph: distances,
-// connectivity, components, eccentricity. These back the stretch metric
-// (Fig. 10) and every connectivity invariant check.
+// connectivity, components. These back the stretch metric (Fig. 10)
+// and every connectivity invariant check.
 //
 // Two tiers:
 //
@@ -9,7 +9,7 @@
 //     TraversalScratch -- zero allocation per traversal, epoch-stamped
 //     distance buffers, an index-based array frontier. This is the hot
 //     path every repeated-traversal consumer (stretch sampling, the
-//     invariant battery, per-round connectivity in kBfs mode) runs on.
+//     invariant battery and its tracker cross-check) runs on.
 //
 //   * Legacy signatures: kept as thin wrappers that fetch the graph's
 //     cached flat view and a thread-local scratch, materializing the
@@ -124,10 +124,6 @@ struct Components {
 void connected_components(const FlatView& view, TraversalScratch& scratch,
                           Components& out);
 
-/// Eccentricity of `src` (max BFS distance to any reachable alive node).
-std::uint32_t eccentricity(const FlatView& view, NodeId src,
-                           TraversalScratch& scratch);
-
 // ---- legacy signatures (thin wrappers over the flat engine) ----------
 
 /// Single-source BFS distances over alive nodes. Entries for dead or
@@ -143,13 +139,6 @@ std::uint32_t bfs_distance(const Graph& g, NodeId src, NodeId dst);
 bool is_connected(const Graph& g);
 
 Components connected_components(const Graph& g);
-
-/// Eccentricity of `src` (max BFS distance to any reachable alive node).
-std::uint32_t eccentricity(const Graph& g, NodeId src);
-
-/// Diameter of the alive subgraph (max eccentricity); kUnreachable if
-/// the graph is disconnected. O(n * m) -- intended for test-sized graphs.
-std::uint32_t diameter(const Graph& g);
 
 /// All-pairs shortest-path matrix (row-major over node ids, dead rows
 /// filled with kUnreachable). O(n * m) time, O(n^2) space; used by the

@@ -2,7 +2,9 @@
 
 #include <charconv>
 #include <cstdio>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/check.h"
 
@@ -169,6 +171,27 @@ bool Options::parse(int argc, char** argv) {
     }
   }
   return true;
+}
+
+std::vector<std::size_t> doubling_sizes(std::uint64_t min_n,
+                                        std::uint64_t max_n) {
+  constexpr std::uint64_t kLargest = std::numeric_limits<std::uint32_t>::max();
+  if (min_n == 0) throw std::invalid_argument("--min-n must be >= 1");
+  if (min_n > max_n) {
+    throw std::invalid_argument("--min-n " + std::to_string(min_n) +
+                                " exceeds --max-n " + std::to_string(max_n));
+  }
+  if (max_n > kLargest) {
+    throw std::invalid_argument("--max-n " + std::to_string(max_n) +
+                                " exceeds the largest graph size " +
+                                std::to_string(kLargest));
+  }
+  std::vector<std::size_t> sizes;
+  for (std::uint64_t n = min_n;; n *= 2) {
+    sizes.push_back(static_cast<std::size_t>(n));
+    if (n > max_n / 2) break;  // the next doubling passes max_n
+  }
+  return sizes;
 }
 
 }  // namespace dash::util

@@ -3,6 +3,7 @@
 // flags; prints a generated usage text on --help or parse error.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -50,5 +51,14 @@ class Options {
   std::vector<Opt> opts_;
   bool help_requested_ = false;
 };
+
+/// The sizes of a doubling sweep -- min_n, 2*min_n, 4*min_n, ... up to
+/// max_n -- as the --min-n / --max-n flags of the sweep binaries ask
+/// for. Throws std::invalid_argument naming the flag when min_n is 0
+/// (doubling never advances), min_n exceeds max_n, or max_n is beyond
+/// the largest graph (node ids are 32-bit) -- where a sweep would
+/// otherwise hang or allocate without bound.
+std::vector<std::size_t> doubling_sizes(std::uint64_t min_n,
+                                        std::uint64_t max_n);
 
 }  // namespace dash::util

@@ -1,6 +1,6 @@
 // network_test.cpp -- the api::Network engine: event API (remove /
-// remove_batch / join), the run loop, metrics, and the borrowed mode
-// the deprecated shims use.
+// remove_batch / join), the run loop, metrics, and the component
+// answers of its connectivity tracker.
 #include "api/network.h"
 
 #include <gtest/gtest.h>
@@ -100,21 +100,6 @@ TEST(Network, SpecConstructorUsesRegistry) {
   EXPECT_THROW(Network(Graph(4), "bogus", 1), std::invalid_argument);
 }
 
-TEST(Network, BorrowedModeMutatesCallerObjects) {
-  Rng rng(7);
-  Graph g = graph::barabasi_albert(32, 2, rng);
-  core::HealingState st(g, rng);
-  auto healer = core::make_strategy("dash");
-  Network net(g, st, *healer);
-  auto atk = attack::make_attack("neighborofmax", 7);
-  RunOptions opts;
-  opts.max_deletions = 6;
-  const Metrics m = net.run(*atk, opts);
-  EXPECT_EQ(m.deletions, 6u);
-  EXPECT_EQ(g.num_alive(), 26u);           // caller's graph mutated
-  EXPECT_EQ(st.max_delta_ever(), m.max_delta);  // caller's state mutated
-}
-
 TEST(Network, RemoveBatchHealsSimultaneousDeletions) {
   Rng rng(8);
   Graph g = graph::barabasi_albert(48, 2, rng);
@@ -187,29 +172,6 @@ TEST(Network, EarlyStoppingAttackEndsRun) {
 
 // ---- incremental connectivity integration ---------------------------------
 
-TEST(Network, OwningEnginesDefaultToTrackerMode) {
-  auto net = make_net(32, 13);
-  // DASH_VERIFY_CONNECTIVITY=1 upgrades the default to kVerify; both
-  // are tracker-backed.
-  EXPECT_NE(net.connectivity_mode(), ConnectivityMode::kBfs);
-  EXPECT_NE(net.connectivity_tracker(), nullptr);
-}
-
-TEST(Network, BorrowedEnginesPinnedToBfs) {
-  Rng rng(14);
-  Graph g = graph::barabasi_albert(32, 2, rng);
-  core::HealingState st(g, rng);
-  auto healer = core::make_strategy("dash");
-  Network net(g, st, *healer);
-  EXPECT_EQ(net.connectivity_mode(), ConnectivityMode::kBfs);
-  EXPECT_EQ(net.connectivity_tracker(), nullptr);
-  EXPECT_DEATH(net.set_connectivity_mode(ConnectivityMode::kTracker),
-               "owning");
-  // The BFS fallback still serves component queries.
-  EXPECT_EQ(net.component_count(), 1u);
-  EXPECT_EQ(net.largest_component(), 32u);
-}
-
 TEST(Network, ComponentAccessorsMatchScan) {
   auto net = make_net(64, 15);
   auto atk = attack::make_attack("maxnode", 15);
@@ -231,9 +193,27 @@ TEST(Network, HealedRunsNeverRebuildTheTracker) {
   auto atk = attack::make_attack("neighborofmax", 16);
   const Metrics m = net.run(*atk);
   EXPECT_TRUE(m.stayed_connected);
-  ASSERT_NE(net.connectivity_tracker(), nullptr);
   EXPECT_EQ(net.connectivity_tracker()->rebuilds(), 0u);
   EXPECT_EQ(net.connectivity_tracker()->nodes_rescanned(), 0u);
+}
+
+TEST(Network, NoHealSplitOfABatchHealedTreeIsSeen) {
+  // A batch round heals with DASH whatever the engine's healer, so a
+  // NoHeal engine can hold healing-forest edges. Deleting an interior
+  // node of that tree leaves pieces that share one component id but
+  // not one component: the shared id must not pass for connectivity.
+  bool any_split = false;
+  for (NodeId v = 1; v <= 4; ++v) {
+    Network net(graph::star_graph(5), "none", 21);
+    net.remove_batch({0});
+    ASSERT_EQ(net.component_count(), 1u);
+    net.remove(v);
+    const auto truth = graph::connected_components(net.graph());
+    EXPECT_EQ(net.component_count(), truth.count()) << "victim " << v;
+    EXPECT_EQ(net.largest_component(), truth.largest()) << "victim " << v;
+    any_split |= truth.count() > 1;
+  }
+  EXPECT_TRUE(any_split);
 }
 
 TEST(Network, UnattachedJoinSplitsComponentStructure) {

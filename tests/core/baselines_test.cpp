@@ -121,6 +121,7 @@ TEST(NoHeal, NeverAddsEdges) {
   EXPECT_TRUE(a.new_graph_edges.empty());
   EXPECT_FALSE(graph::is_connected(g));
   EXPECT_EQ(st.max_delta_ever(), 0u);
+  EXPECT_FALSE(heal.maintains_component_ids());
 }
 
 TEST(NoHeal, ScheduleReportsDisconnection) {

@@ -100,6 +100,8 @@ TEST(Factory, ClonePreservesBehavior) {
     const auto copy = proto->clone();
     EXPECT_EQ(proto->name(), copy->name());
     EXPECT_EQ(proto->maintains_forest(), copy->maintains_forest());
+    EXPECT_EQ(proto->maintains_component_ids(),
+              copy->maintains_component_ids());
   }
 }
 

@@ -116,14 +116,28 @@ TEST(ExperimentSpec, ValidateResolvesNamesThroughRegistries) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("paper-churn"), std::string::npos);
   }
-  // Unknown family and connectivity/labels modes.
+  // Unknown family and labels mode.
   EXPECT_THROW(parse("n=16 healer=dash scenario=paper-churn family=blob"),
                std::invalid_argument);
-  EXPECT_THROW(
-      parse("n=16 healer=dash scenario=paper-churn connectivity=psychic"),
-      std::invalid_argument);
   EXPECT_THROW(parse("n=16 healer=dash scenario=paper-churn labels=emoji"),
                std::invalid_argument);
+}
+
+TEST(ExperimentSpec, RetiredConnectivityKeyFailsByName) {
+  // Canonical lines from before the engine had a single connectivity
+  // path carry a connectivity key; they fail naming it instead of
+  // running under a silently different identity.
+  const std::string key = "connectivity";
+  try {
+    ExperimentSpec::parse_line("n=16 healer=dash scenario=paper-churn " +
+                               key + "=tracker labels=display");
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown experiment key '" + key +
+                                         "'"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ExperimentSpec, EnumerationIsStableAndContiguous) {

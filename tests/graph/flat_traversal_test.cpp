@@ -1,8 +1,8 @@
 // flat_traversal_test.cpp -- the flat traversal engine: FlatView CSR
 // snapshots (generation-keyed lazy rebuild), TraversalScratch reuse,
-// and the scratch-taking bfs/connectivity/components/eccentricity
-// overloads, differentially checked against a verbatim copy of the
-// legacy per-call-allocating implementations. The bidirectional
+// and the scratch-taking bfs/connectivity/components overloads,
+// differentially checked against a verbatim copy of the legacy
+// per-call-allocating implementations. The bidirectional
 // point_distance kernel is checked against a full single-source BFS.
 #include <algorithm>
 #include <deque>
@@ -213,22 +213,20 @@ TEST(FlatTraversal, VisitedIsLevelOrdered) {
 }
 
 TEST(FlatTraversal, IsConnectedAndEccentricityAgree) {
+  // The flat kernel and the graph-level wrapper answer connectivity
+  // exactly as the reference BFS does, before and after a deletion.
   Rng rng(31);
   Graph g = barabasi_albert(50, 2, rng);
   TraversalScratch scratch;
   EXPECT_TRUE(is_connected(g.flat_view(), scratch));
-  EXPECT_EQ(eccentricity(g.flat_view(), 0, scratch), eccentricity(g, 0));
   g.delete_node(1);  // BA node 1 can articulate; either way compare
-  EXPECT_EQ(is_connected(g.flat_view(), scratch), is_connected(g));
   const auto alive = g.alive_nodes();
-  for (std::size_t i = 0; i < alive.size(); i += 9) {
-    const auto dist = ref_bfs_distances(g, alive[i]);
-    std::uint32_t want = 0;
-    for (NodeId v : alive) {
-      if (dist[v] != kUnreachable) want = std::max(want, dist[v]);
-    }
-    EXPECT_EQ(eccentricity(g.flat_view(), alive[i], scratch), want);
-  }
+  const auto dist = ref_bfs_distances(g, alive.front());
+  const bool want = std::all_of(alive.begin(), alive.end(), [&](NodeId v) {
+    return dist[v] != kUnreachable;
+  });
+  EXPECT_EQ(is_connected(g.flat_view(), scratch), want);
+  EXPECT_EQ(is_connected(g), want);
 }
 
 TEST(FlatTraversal, ComponentsBufferReuse) {

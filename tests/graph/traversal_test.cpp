@@ -76,25 +76,6 @@ TEST(Components, SkipsDeadNodes) {
   EXPECT_EQ(comps.label[1], kInvalidComponent);
 }
 
-TEST(Eccentricity, StarCenterVsLeaf) {
-  const Graph g = star_graph(10);
-  EXPECT_EQ(eccentricity(g, 0), 1u);
-  EXPECT_EQ(eccentricity(g, 5), 2u);
-}
-
-TEST(Diameter, KnownValues) {
-  EXPECT_EQ(diameter(path_graph(6)), 5u);
-  EXPECT_EQ(diameter(cycle_graph(6)), 3u);
-  EXPECT_EQ(diameter(complete_graph(5)), 1u);
-  EXPECT_EQ(diameter(star_graph(7)), 2u);
-}
-
-TEST(Diameter, DisconnectedIsUnreachable) {
-  Graph g(3);
-  g.add_edge(0, 1);
-  EXPECT_EQ(diameter(g), kUnreachable);
-}
-
 TEST(AllPairs, MatchesSingleSource) {
   dash::util::Rng rng(99);
   const Graph g = barabasi_albert(40, 2, rng);

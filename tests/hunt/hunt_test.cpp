@@ -1,13 +1,17 @@
 // hunt_test.cpp -- the adversary search engine end to end: registry
 // parsing, hard budget accounting, backend-independent determinism
-// (sequential vs ThreadPool), spool resume, emitted
-// traces that replay bit-identically and round-trip through a grid
-// cell, artifact writes that fail naming the file, and the comparison
-// against the paper's hand-derived LevelAttack baseline.
+// (sequential vs ThreadPool), spool resume, emitted traces that replay
+// bit-identically and round-trip through a grid cell, artifact and
+// spool writes that fail naming the file, and the comparison against
+// the paper's hand-derived LevelAttack baseline.
 #include "hunt/hunt.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <csignal>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -185,6 +189,69 @@ TEST(Hunt, SpoolWriteFailureFailsNamingTheSpool) {
   if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
   const auto [error, path] = hunt_with_full("full_spool", "spool.tsv");
   EXPECT_NE(error.find(path), std::string::npos) << "error: " << error;
+}
+
+/// Run `cfg`'s hunt as dash_lab does -- a WriteError exits 1 with its
+/// message on stderr -- with this process's file size capped at `limit`
+/// bytes, so a write past it fails with EFBIG. For an EXPECT_EXIT
+/// child: the cap dies with the child.
+[[noreturn]] void hunt_with_file_size_limit(const HuntConfig& cfg,
+                                            rlim_t limit) {
+  std::signal(SIGXFSZ, SIG_IGN);  // fail the write instead of the process
+  rlimit cap{};
+  if (getrlimit(RLIMIT_FSIZE, &cap) != 0) std::exit(3);
+  const rlim_t hard = cap.rlim_max;
+  cap.rlim_cur = limit;
+  if (setrlimit(RLIMIT_FSIZE, &cap) != 0) std::exit(3);
+  int rc = 0;
+  std::string error;
+  try {
+    run_hunt(cfg);
+  } catch (const util::WriteError& e) {
+    rc = 1;
+    error = e.what();
+  }
+  // The captured stderr is a file too: lift the cap before reporting.
+  cap.rlim_cur = hard;
+  setrlimit(RLIMIT_FSIZE, &cap);
+  if (rc != 0) std::fprintf(stderr, "error: %s\n", error.c_str());
+  std::exit(rc);
+}
+
+/// Bytes in the spool header line the tiny hunt stamps.
+rlim_t spool_header_bytes() {
+  const std::string dir = scratch("spool_header");
+  run_hunt(tiny(dir));
+  std::ifstream in(dir + "/spool.tsv");
+  std::string header;
+  std::getline(in, header);
+  fs::remove_all(dir);
+  return static_cast<rlim_t>(header.size() + 1);
+}
+
+// A capped file size lets the spool header land and fails what follows
+// it, which /dev/full cannot do: the first score append, and the
+// rewrite a resume makes of a spool longer than its header.
+
+TEST(Hunt, SpoolAppendFailureFailsNamingTheSpool) {
+  const rlim_t limit = spool_header_bytes() + 1;
+  const std::string dir = scratch("spool_append");
+  EXPECT_EXIT(hunt_with_file_size_limit(tiny(dir), limit),
+              ::testing::ExitedWithCode(1),
+              "cannot write '" + dir + "/spool.tsv'");
+  fs::remove_all(dir);
+}
+
+TEST(Hunt, SpoolResumeRewriteFailureFailsNamingTheSpool) {
+  const rlim_t limit = spool_header_bytes() + 1;
+  const std::string dir = scratch("spool_rewrite");
+  run_hunt(tiny(dir));  // a full spool to resume from
+  auto again = tiny(dir);
+  again.resume = true;
+  EXPECT_EXIT(hunt_with_file_size_limit(again, limit),
+              ::testing::ExitedWithCode(1),
+              "cannot write '" + dir + "/spool.tsv'");
+  fs::remove_all(dir);
 }
 
 // ---- emitted traces ---------------------------------------------------

@@ -1,20 +1,27 @@
-// connectivity_property_test.cpp -- the tracker-vs-BFS differential
-// property at the engine level: for EVERY scenario phase type (strike /
-// batch / churn / targeted / until / repeat / floor) the engine must
-// report identical stayed_connected, component structure, Metrics and
-// per-round rows whether the incremental DynamicConnectivity tracker or
-// the per-round BFS answers -- under both sequential and parallel
-// run_suite execution, and for healers that keep the network connected
-// (dash, graph) as well as one that lets it shatter (none).
+// connectivity_property_test.cpp -- the engine's connectivity answers
+// against an independent reference: for EVERY registered scenario phase
+// type, a test-side observer labels the components of the network with
+// graph::connected_components after every round and join, and the
+// engine's own answers (RoundEvent::connected(), component_snapshot(),
+// the per-round rows and the final Metrics) must match it exactly --
+// under both sequential and pooled run_suite execution, and for healers
+// that keep the network connected (dash, graph) as well as one that
+// lets it shatter (none). The engine answers from its incremental
+// DynamicConnectivity tracker only, so this suite is the tracker's
+// end-to-end differential test.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstddef>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "api/api.h"
+#include "api/scenario.h"
 #include "graph/generators.h"
+#include "graph/traversal.h"
 #include "util/thread_pool.h"
 
 namespace dash::api {
@@ -22,6 +29,62 @@ namespace {
 
 constexpr std::size_t kInstances = 4;
 constexpr std::uint64_t kSeed = 0xC0117u;
+
+/// One event's component structure.
+struct Structure {
+  std::size_t count = 0;
+  std::size_t largest = 0;
+  bool connected = true;
+};
+
+/// Records, after attach and after every round and join, the component
+/// structure of a fresh BFS labelling next to the engine's answers for
+/// the same event.
+class BfsReference final : public Observer {
+ public:
+  std::string name() const override { return "bfs-reference"; }
+
+  void on_attach(const Network& net) override {
+    truth.push_back(label(net));
+    engine.push_back(answer(net, net.component_count() <= 1));
+  }
+  void on_round_end(const Network& net, const RoundEvent& ev) override {
+    checked_before_asking.push_back(ev.connectivity_checked());
+    truth.push_back(label(net));
+    engine.push_back(answer(net, ev.connected()));
+  }
+  void on_join(const Network& net, const JoinEvent&) override {
+    truth.push_back(label(net));
+    engine.push_back(answer(net, net.component_count() <= 1));
+  }
+
+  std::vector<Structure> truth;
+  std::vector<Structure> engine;
+  /// Per round: whether the engine had already paid for the
+  /// connectivity check before this observer asked.
+  std::vector<bool> checked_before_asking;
+
+ private:
+  static Structure label(const Network& net) {
+    const graph::Components comps = graph::connected_components(net.graph());
+    return {comps.count(), comps.largest(), comps.count() <= 1};
+  }
+  static Structure answer(const Network& net, bool connected) {
+    const auto [count, largest] = net.component_snapshot();
+    return {count, largest, connected};
+  }
+};
+
+void expect_structures_eq(const std::vector<Structure>& want,
+                          const std::vector<Structure>& got,
+                          const std::string& what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].count, got[i].count) << what << " event " << i;
+    EXPECT_EQ(want[i].largest, got[i].largest) << what << " event " << i;
+    EXPECT_EQ(want[i].connected, got[i].connected) << what << " event " << i;
+  }
+}
 
 void expect_metrics_eq(const Metrics& a, const Metrics& b,
                        const std::string& what) {
@@ -60,21 +123,19 @@ void expect_rows_eq(const std::vector<RoundRow>& a,
   }
 }
 
-/// Per-instance component extremes gathered through the inspect hook;
-/// the ComponentObserver queries the engine EVERY round, so matching
-/// extremes mean every per-round answer agreed between the modes.
 struct RunResult {
   std::vector<Metrics> metrics;
   std::vector<RoundRow> rows;
-  std::vector<std::size_t> max_components;
-  std::vector<std::size_t> min_largest;
+  /// Per instance: the reference's and the engine's event sequences.
+  std::vector<std::vector<Structure>> truth;
+  std::vector<std::vector<Structure>> engine;
 };
 
 RunResult run_config(const std::string& spec, const std::string& healer,
-                     ConnectivityMode mode, bool parallel) {
+                     bool parallel) {
   RunResult out;
-  out.max_components.resize(kInstances);
-  out.min_largest.resize(kInstances);
+  out.truth.resize(kInstances);
+  out.engine.resize(kInstances);
   MemorySink rows;
 
   SuiteConfig cfg;
@@ -87,17 +148,16 @@ RunResult run_config(const std::string& spec, const std::string& healer,
   cfg.scenario = Scenario::parse(spec);
   cfg.sinks = {&rows};
   cfg.record_rows = true;
-  cfg.configure = [mode](Network& net) {
-    net.set_connectivity_mode(mode);
-    net.add_observer(std::make_unique<ComponentObserver>());
+  cfg.configure = [](Network& net) {
+    net.add_observer(std::make_unique<BfsReference>());
     net.add_observer(std::make_unique<InvariantObserver>());
   };
   cfg.inspect = [&out](std::size_t i, const Network& net, const Metrics&) {
-    const auto* comps = dynamic_cast<const ComponentObserver*>(
-        net.find_observer("components"));
-    ASSERT_NE(comps, nullptr);
-    out.max_components[i] = comps->max_components_seen();
-    out.min_largest[i] = comps->min_largest_seen();
+    const auto* ref =
+        dynamic_cast<const BfsReference*>(net.find_observer("bfs-reference"));
+    ASSERT_NE(ref, nullptr);
+    out.truth[i] = ref->truth;
+    out.engine[i] = ref->engine;
   };
 
   if (parallel) {
@@ -110,6 +170,22 @@ RunResult run_config(const std::string& spec, const std::string& healer,
   return out;
 }
 
+/// One case per registered scenario primitive; EveryRegisteredPhase-
+/// IsCovered fails when a newly registered one is missing here.
+const char* const kPhaseCases[] = {
+    "strike:randomx25",                            // strike
+    "batch:4,randomx3",                            // batch
+    "churn:0.4,0.4x60",                            // churn
+    "targeted:maxnodex30",                         // targeted
+    "until:10,random",                             // until
+    "repeat:3{strike:randomx5;churn:0.3,0.2x10}",  // repeat (nested)
+    "floor:16;targeted:maxnode",                   // floor
+    "untilfrac:0.5,random",                        // untilfrac
+    "join:1x12;strike:maxnodex20",                 // join
+    "ramp:0.6,0.2,0.1,0.7x60",                     // ramp
+    "mix:2{strike:randomx3},1{batch:3,hubsx1;join:2x2}x8",  // mix
+};
+
 class ConnectivityProperty
     : public ::testing::TestWithParam<const char*> {};
 
@@ -117,53 +193,52 @@ TEST_P(ConnectivityProperty, TrackerMatchesBfsSequentialAndParallel) {
   const std::string spec = GetParam();
   for (const char* healer : {"dash", "graph", "none"}) {
     const std::string what = spec + " / " + healer;
-    const RunResult baseline =
-        run_config(spec, healer, ConnectivityMode::kBfs, /*parallel=*/false);
-    ASSERT_EQ(baseline.metrics.size(), kInstances) << what;
+    const RunResult seq = run_config(spec, healer, /*parallel=*/false);
+    const RunResult par = run_config(spec, healer, /*parallel=*/true);
+    ASSERT_EQ(seq.metrics.size(), kInstances) << what;
+    ASSERT_EQ(par.metrics.size(), kInstances) << what;
+    expect_rows_eq(seq.rows, par.rows, what + " seq vs par");
 
-    const RunResult variants[] = {
-        run_config(spec, healer, ConnectivityMode::kTracker, false),
-        run_config(spec, healer, ConnectivityMode::kTracker, true),
-        run_config(spec, healer, ConnectivityMode::kBfs, true),
-    };
-    const char* names[] = {"tracker/seq", "tracker/par", "bfs/par"};
-    for (std::size_t v = 0; v < 3; ++v) {
-      const std::string label = what + " vs " + names[v];
-      ASSERT_EQ(variants[v].metrics.size(), kInstances) << label;
-      for (std::size_t i = 0; i < kInstances; ++i) {
-        expect_metrics_eq(baseline.metrics[i], variants[v].metrics[i],
-                          label + " instance " + std::to_string(i));
-        EXPECT_EQ(baseline.max_components[i], variants[v].max_components[i])
-            << label << " instance " << i;
-        EXPECT_EQ(baseline.min_largest[i], variants[v].min_largest[i])
-            << label << " instance " << i;
+    std::size_t row = 0;
+    for (std::size_t i = 0; i < kInstances; ++i) {
+      const std::string inst = what + " instance " + std::to_string(i);
+      const std::vector<Structure>& truth = seq.truth[i];
+      ASSERT_FALSE(truth.empty()) << inst;
+      expect_metrics_eq(seq.metrics[i], par.metrics[i], inst + " seq vs par");
+      expect_structures_eq(truth, par.truth[i], inst + " par reference");
+      // Every per-event engine answer, sequential and pooled.
+      expect_structures_eq(truth, seq.engine[i], inst + " seq engine");
+      expect_structures_eq(truth, par.engine[i], inst + " par engine");
+      // The final Metrics and the per-event rows (one row per round or
+      // join, after the attach sample).
+      const Metrics& m = seq.metrics[i];
+      EXPECT_EQ(m.components, truth.back().count) << inst;
+      EXPECT_EQ(m.largest_component, truth.back().largest) << inst;
+      EXPECT_EQ(m.stayed_connected,
+                std::all_of(truth.begin(), truth.end(),
+                            [](const Structure& s) { return s.connected; }))
+          << inst;
+      // The battery (with its tracker cross-check) finds nothing but
+      // the first disconnection the reference sees.
+      std::string want_violation;
+      for (std::size_t e = 1; e < truth.size(); ++e, ++row) {
+        ASSERT_LT(row, seq.rows.size()) << inst;
+        EXPECT_EQ(seq.rows[row].instance, i) << inst << " row " << row;
+        EXPECT_EQ(seq.rows[row].largest_component, truth[e].largest)
+            << inst << " row " << row;
+        if (want_violation.empty() && !truth[e].connected) {
+          want_violation = "network disconnected after round " +
+                           std::to_string(seq.rows[row].round);
+        }
       }
-      expect_rows_eq(baseline.rows, variants[v].rows, label);
+      EXPECT_EQ(m.violation, want_violation) << inst;
     }
-  }
-}
-
-TEST_P(ConnectivityProperty, VerifyModeSelfChecksEveryAnswer) {
-  // kVerify DASH_CHECKs tracker-vs-BFS agreement inside the engine on
-  // every ask; surviving the run IS the assertion.
-  const std::string spec = GetParam();
-  for (const char* healer : {"dash", "none"}) {
-    const RunResult r =
-        run_config(spec, healer, ConnectivityMode::kVerify, false);
-    ASSERT_EQ(r.metrics.size(), kInstances) << spec << " / " << healer;
+    EXPECT_EQ(row, seq.rows.size()) << what;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllPhaseTypes, ConnectivityProperty,
-    ::testing::Values(
-        "strike:randomx25",                          // strike
-        "batch:4,randomx3",                          // batch
-        "churn:0.4,0.4x60",                          // churn
-        "targeted:maxnodex30",                       // targeted
-        "until:10,random",                           // until
-        "repeat:3{strike:randomx5;churn:0.3,0.2x10}",  // repeat (nested)
-        "floor:16;targeted:maxnode"),                // floor
+    AllPhaseTypes, ConnectivityProperty, ::testing::ValuesIn(kPhaseCases),
     [](const ::testing::TestParamInfo<const char*>& info) {
       std::string name = info.param;
       for (char& c : name) {
@@ -172,28 +247,63 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+/// The phase name a spec or registry display spelling starts with
+/// ("strike[:<attack>][xN]" -> "strike").
+std::string phase_name(const std::string& spelling) {
+  std::size_t end = 0;
+  while (end < spelling.size() &&
+         (std::isalnum(static_cast<unsigned char>(spelling[end])) ||
+          spelling[end] == '_' || spelling[end] == '-')) {
+    ++end;
+  }
+  return spelling.substr(0, end);
+}
+
+TEST(ConnectivityPropertyExtras, EveryRegisteredPhaseIsCovered) {
+  std::set<std::string> covered;
+  for (const char* spec : kPhaseCases) {
+    const Scenario scenario = Scenario::parse(spec);
+    for (const auto& phase : scenario.phases()) {
+      covered.insert(phase_name(phase->spec()));
+    }
+  }
+  for (const std::string& display : scenario_phase_registry().names()) {
+    // Presets expand to primitives and display their bare name;
+    // primitives display a parameter placeholder.
+    if (display.find('<') == std::string::npos) continue;
+    const std::string name = phase_name(display);
+    if (name == "trace") continue;  // replays a recorded trace file
+    EXPECT_EQ(covered.count(name), 1u)
+        << "scenario phase '" << name << "' has no case in kPhaseCases";
+  }
+}
+
 TEST(ConnectivityPropertyExtras, StopWhenDisconnectedAgreesAcrossModes) {
-  // run() + stop_when_disconnected forces a per-round ask; the round at
-  // which an unhealed network dies must not depend on the mode.
-  auto run_mode = [](ConnectivityMode mode) {
-    dash::util::Rng rng(99);
-    graph::Graph g = graph::barabasi_albert(64, 2, rng);
-    Network net(std::move(g), "none", 7);
-    net.set_connectivity_mode(mode);
-    auto attacker = attack::make_attack("maxnode", 3);
-    RunOptions opts;
-    opts.stop_when_disconnected = true;
-    return net.run(*attacker, opts);
-  };
-  const Metrics bfs = run_mode(ConnectivityMode::kBfs);
-  const Metrics tracker = run_mode(ConnectivityMode::kTracker);
-  const Metrics verify = run_mode(ConnectivityMode::kVerify);
-  EXPECT_FALSE(bfs.stayed_connected);
-  EXPECT_EQ(bfs.deletions, tracker.deletions);
-  EXPECT_EQ(bfs.stayed_connected, tracker.stayed_connected);
-  EXPECT_EQ(bfs.components, tracker.components);
-  EXPECT_EQ(bfs.largest_component, tracker.largest_component);
-  EXPECT_EQ(bfs.deletions, verify.deletions);
+  // run() + stop_when_disconnected asks every round; an unhealed
+  // network must stop at exactly the round the BFS reference first
+  // sees it split, reporting the reference's component structure.
+  dash::util::Rng rng(99);
+  Network net(graph::barabasi_albert(64, 2, rng), "none", 7);
+  auto& ref = static_cast<BfsReference&>(
+      net.add_observer(std::make_unique<BfsReference>()));
+  auto attacker = attack::make_attack("maxnode", 3);
+  RunOptions opts;
+  opts.stop_when_disconnected = true;
+  const Metrics m = net.run(*attacker, opts);
+
+  EXPECT_FALSE(m.stayed_connected);
+  ASSERT_EQ(ref.truth.size(), m.deletions + 1);  // attach + every round
+  const auto split =
+      std::find_if(ref.truth.begin(), ref.truth.end(),
+                   [](const Structure& s) { return !s.connected; });
+  EXPECT_EQ(split, ref.truth.end() - 1) << "the run went past the split";
+  EXPECT_EQ(m.components, ref.truth.back().count);
+  EXPECT_EQ(m.largest_component, ref.truth.back().largest);
+  expect_structures_eq(ref.truth, ref.engine, "engine answers");
+  // The engine paid for every round's check before any observer asked.
+  EXPECT_TRUE(std::all_of(ref.checked_before_asking.begin(),
+                          ref.checked_before_asking.end(),
+                          [](bool checked) { return checked; }));
 }
 
 TEST(ConnectivityPropertyExtras, AmortizedBatterySeesSameViolations) {
