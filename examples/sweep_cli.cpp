@@ -24,20 +24,11 @@
 #include "util/csv.h"
 #include "util/output.h"
 #include "util/table.h"
+#include "util/text.h"
 
 namespace {
 
 using dash::api::Metrics;
-
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::istringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
 
 double extract(const Metrics& r, const std::string& metric) {
   if (metric == "max_delta") return static_cast<double>(r.max_delta);
@@ -131,7 +122,7 @@ int main(int argc, char** argv) {
     spec.name = "sweep";
     spec.families = {family};
     spec.sizes = dash::util::doubling_sizes(min_n, max_n);
-    spec.healers = split_csv(healers);
+    spec.healers = dash::util::split(healers, ',', /*drop_empty=*/true);
     spec.scenarios = {dash::api::Scenario::parse(scenario).spec()};
     spec.instances = static_cast<std::size_t>(instances);
     spec.seed = seed;

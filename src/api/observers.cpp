@@ -16,7 +16,10 @@ void InvariantObserver::on_attach(const Network& net) {
 
 void InvariantObserver::run_battery(const Network& net,
                                     const RoundEvent* ev) {
-  if (!violation_.empty()) return;  // keep the first violation
+  // Keep the battery's first finding. A disconnection alone does not
+  // end the battery: the rounds after a split are the ones that drive
+  // the connectivity tracker's lazy re-scan.
+  if (battery_failed_) return;
   const auto& g = net.graph();
   const auto& state = net.state();
 
@@ -39,7 +42,10 @@ void InvariantObserver::run_battery(const Network& net,
   if (c.ok && opts_.check_delta_bound) {
     c = analysis::check_delta_bound(state, initial_size_);
   }
-  if (!c.ok) violation_ = c.violation;
+  if (!c.ok) {
+    battery_failed_ = true;
+    violation_ += violation_.empty() ? c.violation : "; then " + c.violation;
+  }
 }
 
 void InvariantObserver::on_round_end(const Network& net,

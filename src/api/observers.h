@@ -50,7 +50,9 @@ struct InvariantOptions {
 };
 
 /// Evaluates the invariant battery after every round (and every join);
-/// remembers the first violation and contributes it to Metrics.
+/// remembers the first violation and contributes it to Metrics. A
+/// disconnection (the expected failure of a non-healer) does not stop
+/// the battery: its first later finding is appended ("...; then ...").
 /// Besides the paper's properties the battery cross-checks the engine's
 /// connectivity tracker against a fresh BFS labelling
 /// (analysis::check_component_tracker), so every suite that attaches
@@ -67,7 +69,8 @@ class InvariantObserver final : public Observer {
   void on_finish(const Network& net, Metrics& out) override;
 
   bool ok() const { return violation_.empty(); }
-  /// First violation encountered (empty if none).
+  /// First violation encountered, plus the battery's first finding
+  /// after a disconnection (empty if none).
   const std::string& violation() const { return violation_; }
 
  private:
@@ -76,6 +79,7 @@ class InvariantObserver final : public Observer {
   InvariantOptions opts_;
   std::size_t initial_size_ = 0;
   std::string violation_;
+  bool battery_failed_ = false;
 };
 
 /// Samples the component structure (count + largest component) after

@@ -1,16 +1,16 @@
 #include "api/scenario.h"
 
 #include <algorithm>
-#include <cctype>
-#include <charconv>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
 
 #include "api/network.h"
+#include "api/phase_grammar.h"
 #include "attack/factory.h"
+#include "graph/metrics.h"
 #include "util/check.h"
-#include "util/csv.h"
+#include "util/text.h"
 
 // Defined in replay/trace_phase.cpp; see the registry builder below.
 namespace dash::replay::detail {
@@ -23,105 +23,14 @@ namespace {
 
 using graph::NodeId;
 
-// ---- small parsing helpers ---------------------------------------------
+constexpr const char* kGrammar = "scenario phase";
 
-bool all_digits(const std::string& s) {
-  return !s.empty() &&
-         std::all_of(s.begin(), s.end(),
-                     [](unsigned char c) { return std::isdigit(c); });
-}
-
-/// Split a phase's parameter at its trailing `x<digits>` count:
-/// "0.3,0.1x500" -> {"0.3,0.1", 500}. A trailing x with a non-numeric
-/// suffix (as in "neighborofmax") is left in the head. Explicit zero
-/// counts are malformed -- a phase that does nothing is a spec typo.
-struct CountSplit {
-  std::string head;
-  std::size_t count = 0;
-  bool has_count = false;
-};
-
-CountSplit split_count(const std::string& phase, const std::string& args) {
-  CountSplit out;
-  out.head = args;
-  const auto pos = args.find_last_of('x');
-  if (pos == std::string::npos) return out;
-  const std::string suffix = args.substr(pos + 1);
-  if (!all_digits(suffix)) return out;
-  out.count = static_cast<std::size_t>(
-      util::parse_spec_uint(phase, suffix));
-  if (out.count == 0) {
-    throw std::invalid_argument("zero count in scenario phase '" + phase +
-                                ":" + args + "'");
-  }
-  out.head = args.substr(0, pos);
-  out.has_count = true;
-  return out;
-}
-
-/// Strict double in [0, 1] for churn rates. std::from_chars, not
-/// std::stod: rate specs must parse the same under every process
-/// locale (stod honours LC_NUMERIC, so "0.3" fails and "0,3" parses
-/// under a comma-decimal locale).
-double parse_rate(const std::string& phase, const std::string& s) {
-  double v = 0.0;
-  const auto [end, ec] =
-      std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || end != s.data() + s.size() || s.empty() ||
-      v < 0.0 || v > 1.0) {
-    throw std::invalid_argument("bad rate in scenario phase '" + phase +
-                                "': '" + s +
-                                "' (expected a number in [0, 1])");
-  }
-  return v;
-}
-
-/// Minimal decimal form for rates ("0.3", "1"), round-trip safe.
-std::string rate_to_string(double v) {
-  return util::CsvWriter::to_field(v);
-}
-
-std::vector<std::string> split_commas(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    const auto comma = s.find(',', start);
-    if (comma == std::string::npos) {
-      out.push_back(s.substr(start));
-      break;
-    }
-    out.push_back(s.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
-}
-
-/// Split at top-level commas only (braces nest): the mix arm
-/// separator, where each arm carries a nested phase list.
-std::vector<std::string> split_commas_toplevel(const std::string& s) {
-  std::vector<std::string> out;
-  std::string current;
-  int depth = 0;
-  for (char c : s) {
-    if (c == '{') ++depth;
-    if (c == '}' && depth > 0) --depth;
-    if (c == ',' && depth == 0) {
-      out.push_back(current);
-      current.clear();
-      continue;
-    }
-    current += c;
-  }
-  out.push_back(current);
-  return out;
-}
-
-/// Alive nodes sorted by (degree desc, id asc): the batch "hubs" order.
+/// Alive nodes in the hub order (degree desc, id asc): the batch
+/// "hubs" pick.
 std::vector<NodeId> hubs_first(const graph::Graph& g) {
   auto alive = g.alive_nodes();
   std::sort(alive.begin(), alive.end(), [&g](NodeId a, NodeId b) {
-    if (g.degree(a) != g.degree(b)) return g.degree(a) > g.degree(b);
-    return a < b;
+    return graph::hub_before(g, a, b);
   });
   return alive;
 }
@@ -144,41 +53,98 @@ std::vector<NodeId> pick_distinct_alive(const graph::Graph& g,
   return alive;
 }
 
-/// Attack specs are resolved through attack::attack_registry() when a
-/// phase executes; reject unknown names already at scenario build/parse
-/// time so the error surfaces where the spec was written.
-void validate_attack_spec(const std::string& phase,
-                          const std::string& spec) {
-  if (!attack::attack_registry().contains(spec)) {
-    std::string names;
-    for (const auto& n : attack::attack_names()) {
-      if (!names.empty()) names += ", ";
-      names += n;
-    }
-    throw std::invalid_argument("unknown attack '" + spec +
-                                "' in scenario phase '" + phase +
-                                "' (registered: " + names + ")");
+/// Runs every phase of `body` once; false if the play's stop condition
+/// fired first (the caller must return at once).
+bool run_body(const Scenario& body, PlayContext& ctx) {
+  for (const auto& phase : body.phases()) {
+    if (ctx.stopped()) return false;
+    phase->execute(ctx);
   }
+  return true;
 }
 
 // ---- phases --------------------------------------------------------------
 
-class StrikePhase final : public ScenarioPhase {
+/// Select-and-delete with one attack until a bound: the strike,
+/// targeted, until and untilfrac spellings. One loop serves all four --
+/// the attack is built from the play's next seed, and every pick checks
+/// the alive bound, then the stop condition -- and they differ only in
+/// the bound: a deletion count (strike; targeted's optional cap), an
+/// alive target (until) or a size-relative one (untilfrac). spec()
+/// prints the spelling the phase was built from.
+class AttackPhase final : public ScenarioPhase {
  public:
-  StrikePhase(std::string attack, std::size_t count)
-      : attack_(std::move(attack)), count_(count) {
-    DASH_CHECK_MSG(count_ > 0, "strike needs a positive count");
-    validate_attack_spec("strike", attack_);
+  enum class Spelling { kStrike, kTargeted, kUntil, kUntilFrac };
+
+  /// `max_deletions` caps strike and targeted (0: no cap); `left` is
+  /// until's alive target, `frac` untilfrac's fraction of the initial
+  /// size.
+  AttackPhase(Spelling spelling, std::string attack,
+              std::size_t max_deletions, std::size_t left = 0,
+              double frac = 0.0)
+      : spelling_(spelling),
+        attack_(std::move(attack)),
+        max_deletions_(max_deletions),
+        left_(left),
+        frac_(frac) {
+    switch (spelling_) {
+      case Spelling::kStrike:
+        DASH_CHECK_MSG(max_deletions_ > 0, "strike needs a positive count");
+        break;
+      case Spelling::kTargeted:
+        break;
+      case Spelling::kUntil:
+        DASH_CHECK_MSG(left_ > 0, "until needs n >= 1");
+        break;
+      case Spelling::kUntilFrac:
+        DASH_CHECK_MSG(frac_ > 0.0 && frac_ <= 1.0,
+                       "untilfrac needs a fraction in (0, 1]");
+        break;
+    }
+    grammar::check_attack(kGrammar, name(), attack_);
   }
 
+  /// targeted with a caller-built adversary, labelled for spec() only.
+  AttackPhase(AttackerFactory factory, const std::string& label,
+              std::size_t max_deletions)
+      : spelling_(Spelling::kTargeted),
+        attack_("<" + label + ">"),
+        factory_(std::move(factory)),
+        max_deletions_(max_deletions) {}
+
   std::string spec() const override {
-    return "strike:" + attack_ + "x" + std::to_string(count_);
+    switch (spelling_) {
+      case Spelling::kStrike:
+        return grammar::strike_spec(attack_, max_deletions_);
+      case Spelling::kTargeted:
+        return grammar::targeted_spec(attack_, max_deletions_);
+      case Spelling::kUntil:
+        return grammar::until_spec(left_, attack_);
+      case Spelling::kUntilFrac:
+        return grammar::untilfrac_spec(frac_, attack_);
+    }
+    return "";
   }
 
   void execute(PlayContext& ctx) const override {
-    auto atk = attack::make_attack(attack_, ctx.rng.next_u64());
-    for (std::size_t i = 0; i < count_; ++i) {
-      if (ctx.net.graph().num_alive() <= ctx.floor || ctx.stopped()) break;
+    std::size_t left = left_;
+    if (spelling_ == Spelling::kUntilFrac) {
+      // Size-relative target: delete until at most ceil(initial * frac)
+      // nodes survive. The initial size comes from the engine, so the
+      // same phase value serves every n of a sweep grid ("delete half"
+      // without baking n/2 into the spec).
+      const double raw =
+          std::ceil(static_cast<double>(ctx.net.initial_size()) * frac_);
+      left = std::max<std::size_t>(1, static_cast<std::size_t>(raw));
+    }
+    auto atk = factory_ ? factory_(ctx.rng.next_u64())
+                        : attack::make_attack(attack_, ctx.rng.next_u64());
+    for (std::size_t deleted = 0;
+         max_deletions_ == 0 || deleted < max_deletions_; ++deleted) {
+      if (ctx.net.graph().num_alive() <= std::max(left, ctx.floor) ||
+          ctx.stopped()) {
+        break;
+      }
       const NodeId v = atk->select(ctx.net.graph(), ctx.net.state());
       if (v == graph::kInvalidNode) break;
       ctx.net.remove(v);
@@ -186,12 +152,26 @@ class StrikePhase final : public ScenarioPhase {
   }
 
   std::unique_ptr<ScenarioPhase> clone() const override {
-    return std::make_unique<StrikePhase>(*this);
+    return std::make_unique<AttackPhase>(*this);
   }
 
  private:
+  const char* name() const {
+    switch (spelling_) {
+      case Spelling::kStrike: return "strike";
+      case Spelling::kTargeted: return "targeted";
+      case Spelling::kUntil: return "until";
+      case Spelling::kUntilFrac: return "untilfrac";
+    }
+    return "";
+  }
+
+  Spelling spelling_;
   std::string attack_;
-  std::size_t count_;
+  AttackerFactory factory_;
+  std::size_t max_deletions_ = 0;
+  std::size_t left_ = 0;
+  double frac_ = 0.0;
 };
 
 class BatchStrikePhase final : public ScenarioPhase {
@@ -205,15 +185,7 @@ class BatchStrikePhase final : public ScenarioPhase {
   }
 
   std::string spec() const override {
-    std::string out("batch:");
-    out += std::to_string(batch_size_);
-    out += ',';
-    out += mode_;
-    if (rounds_ > 0) {
-      out += 'x';
-      out += std::to_string(rounds_);
-    }
-    return out;
+    return grammar::batch_spec(batch_size_, mode_, rounds_);
   }
 
   void execute(PlayContext& ctx) const override {
@@ -245,12 +217,20 @@ class BatchStrikePhase final : public ScenarioPhase {
   std::size_t rounds_;
 };
 
+/// Churn ticks, spelled `churn` (flat rates) or `ramp` (both rates move
+/// linearly from the start to the end pair across the phase; the last
+/// tick hits the end rates exactly). Churn is the ramp whose start and
+/// end rates are equal, and consumes the identical RNG stream.
 class ChurnPhase final : public ScenarioPhase {
  public:
-  ChurnPhase(double join_rate, double leave_rate, std::size_t events,
+  ChurnPhase(bool ramp, double join_start, double leave_start,
+             double join_end, double leave_end, std::size_t events,
              std::size_t attach)
-      : join_rate_(join_rate),
-        leave_rate_(leave_rate),
+      : ramp_(ramp),
+        join_start_(join_start),
+        leave_start_(leave_start),
+        join_end_(join_end),
+        leave_end_(leave_end),
         events_(events),
         attach_(attach) {
     DASH_CHECK_MSG(events_ > 0, "churn needs a positive event count");
@@ -258,34 +238,33 @@ class ChurnPhase final : public ScenarioPhase {
   }
 
   std::string spec() const override {
-    std::string out("churn:");
-    out += rate_to_string(join_rate_);
-    out += ',';
-    out += rate_to_string(leave_rate_);
-    if (attach_ != 2) {
-      out += ',';
-      out += std::to_string(attach_);
+    if (!ramp_) {
+      return grammar::churn_spec(join_start_, leave_start_, attach_,
+                                 events_);
     }
-    out += 'x';
-    out += std::to_string(events_);
-    return out;
+    return grammar::ramp_spec(join_start_, leave_start_, join_end_,
+                              leave_end_, attach_, events_);
   }
 
   void execute(PlayContext& ctx) const override {
     for (std::size_t e = 0; e < events_; ++e) {
       if (ctx.stopped()) break;
+      const double t =
+          events_ == 1 ? 0.0
+                       : static_cast<double>(e) /
+                             static_cast<double>(events_ - 1);
       // Both coins are flipped every tick (joins and leaves are
       // independent processes), keeping the stream layout fixed.
-      const bool do_join = ctx.rng.chance(join_rate_);
-      const bool do_leave = ctx.rng.chance(leave_rate_);
+      const bool do_join =
+          ctx.rng.chance(join_start_ + (join_end_ - join_start_) * t);
+      const bool do_leave =
+          ctx.rng.chance(leave_start_ + (leave_end_ - leave_start_) * t);
       if (do_join) {
         ctx.net.join(
             pick_distinct_alive(ctx.net.graph(), ctx.rng, attach_));
       }
       if (do_leave && ctx.net.graph().num_alive() > ctx.floor) {
-        const auto alive = ctx.net.graph().alive_nodes();
-        ctx.net.remove(
-            alive[static_cast<std::size_t>(ctx.rng.below(alive.size()))]);
+        ctx.net.remove(graph::uniform_alive(ctx.net.graph(), ctx.rng));
       }
     }
   }
@@ -295,8 +274,11 @@ class ChurnPhase final : public ScenarioPhase {
   }
 
  private:
-  double join_rate_;
-  double leave_rate_;
+  bool ramp_;
+  double join_start_;
+  double leave_start_;
+  double join_end_;
+  double leave_end_;
   std::size_t events_;
   std::size_t attach_;
 };
@@ -310,8 +292,7 @@ class JoinPhase final : public ScenarioPhase {
   }
 
   std::string spec() const override {
-    return "join:" + std::to_string(attach_) + "x" +
-           std::to_string(count_);
+    return grammar::join_spec(attach_, count_);
   }
 
   void execute(PlayContext& ctx) const override {
@@ -329,78 +310,6 @@ class JoinPhase final : public ScenarioPhase {
  private:
   std::size_t attach_;
   std::size_t count_;
-};
-
-class RampPhase final : public ScenarioPhase {
- public:
-  RampPhase(double join_start, double leave_start, double join_end,
-            double leave_end, std::size_t events, std::size_t attach)
-      : join_start_(join_start),
-        leave_start_(leave_start),
-        join_end_(join_end),
-        leave_end_(leave_end),
-        events_(events),
-        attach_(attach) {
-    DASH_CHECK_MSG(events_ > 0, "ramp needs a positive event count");
-    DASH_CHECK_MSG(attach_ > 0, "ramp joins need >= 1 attachment");
-  }
-
-  std::string spec() const override {
-    std::string out("ramp:");
-    out += rate_to_string(join_start_);
-    out += ',';
-    out += rate_to_string(leave_start_);
-    out += ',';
-    out += rate_to_string(join_end_);
-    out += ',';
-    out += rate_to_string(leave_end_);
-    if (attach_ != 2) {
-      out += ',';
-      out += std::to_string(attach_);
-    }
-    out += 'x';
-    out += std::to_string(events_);
-    return out;
-  }
-
-  void execute(PlayContext& ctx) const override {
-    for (std::size_t e = 0; e < events_; ++e) {
-      if (ctx.stopped()) break;
-      // Linear interpolation of both rates across the phase; the last
-      // tick hits the end rates exactly. Same both-coins-every-tick
-      // stream layout as ChurnPhase, so a ramp with equal start/end
-      // rates consumes the identical RNG stream a churn phase would.
-      const double t =
-          events_ == 1 ? 0.0
-                       : static_cast<double>(e) /
-                             static_cast<double>(events_ - 1);
-      const bool do_join =
-          ctx.rng.chance(join_start_ + (join_end_ - join_start_) * t);
-      const bool do_leave =
-          ctx.rng.chance(leave_start_ + (leave_end_ - leave_start_) * t);
-      if (do_join) {
-        ctx.net.join(
-            pick_distinct_alive(ctx.net.graph(), ctx.rng, attach_));
-      }
-      if (do_leave && ctx.net.graph().num_alive() > ctx.floor) {
-        const auto alive = ctx.net.graph().alive_nodes();
-        ctx.net.remove(
-            alive[static_cast<std::size_t>(ctx.rng.below(alive.size()))]);
-      }
-    }
-  }
-
-  std::unique_ptr<ScenarioPhase> clone() const override {
-    return std::make_unique<RampPhase>(*this);
-  }
-
- private:
-  double join_start_;
-  double leave_start_;
-  double join_end_;
-  double leave_end_;
-  std::size_t events_;
-  std::size_t attach_;
 };
 
 /// One weighted alternative of a mix phase.
@@ -423,17 +332,12 @@ class MixPhase final : public ScenarioPhase {
   }
 
   std::string spec() const override {
-    std::string out("mix:");
-    for (std::size_t i = 0; i < arms_.size(); ++i) {
-      if (i > 0) out += ',';
-      out += std::to_string(arms_[i].weight);
-      out += '{';
-      out += arms_[i].body.spec();
-      out += '}';
+    std::vector<grammar::MixArmText> arms;
+    arms.reserve(arms_.size());
+    for (const MixArm& arm : arms_) {
+      arms.emplace_back(arm.weight, arm.body.spec());
     }
-    out += 'x';
-    out += std::to_string(draws_);
-    return out;
+    return grammar::mix_spec(arms, draws_);
   }
 
   void execute(PlayContext& ctx) const override {
@@ -444,10 +348,7 @@ class MixPhase final : public ScenarioPhase {
       std::uint64_t r = ctx.rng.below(total_);
       for (const MixArm& arm : arms_) {
         if (r < arm.weight) {
-          for (const auto& phase : arm.body.phases()) {
-            if (ctx.stopped()) return;
-            phase->execute(ctx);
-          }
+          if (!run_body(arm.body, ctx)) return;
           break;
         }
         r -= arm.weight;
@@ -465,165 +366,24 @@ class MixPhase final : public ScenarioPhase {
   std::uint64_t total_ = 0;
 };
 
-class TargetedPhase final : public ScenarioPhase {
- public:
-  TargetedPhase(std::string attack, std::size_t max_deletions)
-      : attack_(std::move(attack)), max_deletions_(max_deletions) {
-    validate_attack_spec("targeted", attack_);
-  }
-
-  TargetedPhase(AttackerFactory factory, std::string label,
-                std::size_t max_deletions)
-      : attack_("<" + label + ">"),
-        factory_(std::move(factory)),
-        max_deletions_(max_deletions) {}
-
-  std::string spec() const override {
-    std::string out("targeted:");
-    out += attack_;
-    if (max_deletions_ > 0) {
-      out += 'x';
-      out += std::to_string(max_deletions_);
-    }
-    return out;
-  }
-
-  void execute(PlayContext& ctx) const override {
-    auto atk = factory_ ? factory_(ctx.rng.next_u64())
-                        : attack::make_attack(attack_, ctx.rng.next_u64());
-    std::size_t deleted = 0;
-    while (max_deletions_ == 0 || deleted < max_deletions_) {
-      if (ctx.net.graph().num_alive() <= ctx.floor || ctx.stopped()) break;
-      const NodeId v = atk->select(ctx.net.graph(), ctx.net.state());
-      if (v == graph::kInvalidNode) break;
-      ctx.net.remove(v);
-      ++deleted;
-    }
-  }
-
-  std::unique_ptr<ScenarioPhase> clone() const override {
-    return std::make_unique<TargetedPhase>(*this);
-  }
-
- private:
-  std::string attack_;
-  AttackerFactory factory_;
-  std::size_t max_deletions_ = 0;
-};
-
-class UntilNLeftPhase final : public ScenarioPhase {
- public:
-  UntilNLeftPhase(std::size_t n, std::string attack)
-      : n_(n), attack_(std::move(attack)) {
-    DASH_CHECK_MSG(n_ > 0, "until needs n >= 1");
-    validate_attack_spec("until", attack_);
-  }
-
-  std::string spec() const override {
-    return "until:" + std::to_string(n_) + "," + attack_;
-  }
-
-  void execute(PlayContext& ctx) const override {
-    auto atk = attack::make_attack(attack_, ctx.rng.next_u64());
-    while (ctx.net.graph().num_alive() > std::max(n_, ctx.floor)) {
-      if (ctx.stopped()) break;
-      const NodeId v = atk->select(ctx.net.graph(), ctx.net.state());
-      if (v == graph::kInvalidNode) break;
-      ctx.net.remove(v);
-    }
-  }
-
-  std::unique_ptr<ScenarioPhase> clone() const override {
-    return std::make_unique<UntilNLeftPhase>(*this);
-  }
-
- private:
-  std::size_t n_;
-  std::string attack_;
-};
-
-class UntilFracPhase final : public ScenarioPhase {
- public:
-  UntilFracPhase(double frac, std::string attack)
-      : frac_(frac), attack_(std::move(attack)) {
-    DASH_CHECK_MSG(frac_ > 0.0 && frac_ <= 1.0,
-                   "untilfrac needs a fraction in (0, 1]");
-    validate_attack_spec("untilfrac", attack_);
-  }
-
-  std::string spec() const override {
-    return "untilfrac:" + rate_to_string(frac_) + "," + attack_;
-  }
-
-  void execute(PlayContext& ctx) const override {
-    // Size-relative target: delete until at most ceil(initial * frac)
-    // nodes survive. The initial size comes from the engine, so the
-    // same phase value serves every n of a sweep grid ("delete half"
-    // without baking n/2 into the spec).
-    const double raw =
-        std::ceil(static_cast<double>(ctx.net.initial_size()) * frac_);
-    const auto target =
-        std::max<std::size_t>(1, static_cast<std::size_t>(raw));
-    auto atk = attack::make_attack(attack_, ctx.rng.next_u64());
-    while (ctx.net.graph().num_alive() > std::max(target, ctx.floor)) {
-      if (ctx.stopped()) break;
-      const NodeId v = atk->select(ctx.net.graph(), ctx.net.state());
-      if (v == graph::kInvalidNode) break;
-      ctx.net.remove(v);
-    }
-  }
-
-  std::unique_ptr<ScenarioPhase> clone() const override {
-    return std::make_unique<UntilFracPhase>(*this);
-  }
-
- private:
-  double frac_;
-  std::string attack_;
-};
-
-/// A registered name standing for a whole phase list; spec() round-trips
-/// through the preset's name, so grids and CLIs stay readable.
-class PresetPhase final : public ScenarioPhase {
- public:
-  PresetPhase(std::string name, Scenario body)
-      : name_(std::move(name)), body_(std::move(body)) {}
-
-  std::string spec() const override { return name_; }
-
-  void execute(PlayContext& ctx) const override {
-    for (const auto& phase : body_.phases()) {
-      if (ctx.stopped()) return;
-      phase->execute(ctx);
-    }
-  }
-
-  std::unique_ptr<ScenarioPhase> clone() const override {
-    return std::make_unique<PresetPhase>(*this);
-  }
-
- private:
-  std::string name_;
-  Scenario body_;
-};
-
+/// A nested phase list run `times` times. A named preset is the
+/// one-time repeat of its registered body, and spec() round-trips
+/// through the preset's name so grids and CLIs stay readable.
 class RepeatPhase final : public ScenarioPhase {
  public:
-  RepeatPhase(std::size_t times, Scenario body)
-      : times_(times), body_(std::move(body)) {
+  RepeatPhase(std::size_t times, Scenario body, std::string preset = "")
+      : times_(times), body_(std::move(body)), preset_(std::move(preset)) {
     DASH_CHECK_MSG(times_ > 0, "repeat needs a positive multiplier");
   }
 
   std::string spec() const override {
-    return "repeat:" + std::to_string(times_) + "{" + body_.spec() + "}";
+    return preset_.empty() ? grammar::repeat_spec(times_, body_.spec())
+                           : preset_;
   }
 
   void execute(PlayContext& ctx) const override {
     for (std::size_t t = 0; t < times_; ++t) {
-      for (const auto& phase : body_.phases()) {
-        if (ctx.stopped()) return;
-        phase->execute(ctx);
-      }
+      if (!run_body(body_, ctx)) return;
     }
   }
 
@@ -634,6 +394,7 @@ class RepeatPhase final : public ScenarioPhase {
  private:
   std::size_t times_;
   Scenario body_;
+  std::string preset_;
 };
 
 class FloorPhase final : public ScenarioPhase {
@@ -643,7 +404,7 @@ class FloorPhase final : public ScenarioPhase {
   }
 
   std::string spec() const override {
-    return "floor:" + std::to_string(min_alive_);
+    return grammar::floor_spec(min_alive_);
   }
 
   void execute(PlayContext& ctx) const override { ctx.floor = min_alive_; }
@@ -658,250 +419,183 @@ class FloorPhase final : public ScenarioPhase {
 
 // ---- phase parsers (registry factories) ----------------------------------
 
+using Spelling = AttackPhase::Spelling;
+
 std::unique_ptr<ScenarioPhase> parse_strike(const std::string& param) {
-  const CountSplit cs = split_count("strike", param);
-  if (cs.head.empty()) {
-    return std::make_unique<StrikePhase>("maxnode",
-                                         cs.has_count ? cs.count : 1);
-  }
-  if (!cs.has_count && all_digits(cs.head)) {
+  const grammar::CountSplit cs =
+      grammar::split_count(kGrammar, "strike", param);
+  std::string attack = cs.head.empty() ? "maxnode" : cs.head;
+  std::size_t count = cs.has_count ? cs.count : 1;
+  if (!cs.has_count && grammar::all_digits(cs.head)) {
     // "strike:40" == "strike x40".
-    const auto count = util::parse_spec_uint("strike", cs.head);
+    count = static_cast<std::size_t>(util::parse_spec_uint("strike", cs.head));
     if (count == 0) {
       throw std::invalid_argument("zero count in scenario phase 'strike:" +
                                   param + "'");
     }
-    return std::make_unique<StrikePhase>(
-        "maxnode", static_cast<std::size_t>(count));
+    attack = "maxnode";
   }
-  return std::make_unique<StrikePhase>(cs.head,
-                                       cs.has_count ? cs.count : 1);
+  return std::make_unique<AttackPhase>(Spelling::kStrike, attack, count);
+}
+
+std::unique_ptr<ScenarioPhase> parse_targeted(const std::string& param) {
+  const grammar::CountSplit cs =
+      grammar::split_count(kGrammar, "targeted", param);
+  return std::make_unique<AttackPhase>(
+      Spelling::kTargeted, cs.head.empty() ? "maxnode" : cs.head,
+      cs.has_count ? cs.count : 0);
+}
+
+std::unique_ptr<ScenarioPhase> parse_until(const std::string& param) {
+  const std::string token = "until:" + param;
+  const auto parts = util::split(param, ',');
+  if (parts.size() > 2 || !grammar::all_digits(parts[0])) {
+    grammar::fail(kGrammar, token, "expected until:<n>[,<attack>]");
+  }
+  const auto n = util::parse_spec_uint("until", parts[0]);
+  if (n == 0) grammar::fail(kGrammar, token, "until needs n >= 1");
+  return std::make_unique<AttackPhase>(
+      Spelling::kUntil,
+      parts.size() == 2 && !parts[1].empty() ? parts[1] : "maxnode", 0,
+      static_cast<std::size_t>(n));
+}
+
+std::unique_ptr<ScenarioPhase> parse_untilfrac(const std::string& param) {
+  const std::string token = "untilfrac:" + param;
+  const auto parts = util::split(param, ',');
+  if (parts.size() > 2 || parts[0].empty()) {
+    grammar::fail(kGrammar, token, "expected untilfrac:<frac>[,<attack>]");
+  }
+  const double frac = grammar::parse_rate(kGrammar, "untilfrac", parts[0]);
+  if (frac <= 0.0) {
+    grammar::fail(kGrammar, token, "untilfrac needs a fraction in (0, 1]");
+  }
+  return std::make_unique<AttackPhase>(
+      Spelling::kUntilFrac,
+      parts.size() == 2 && !parts[1].empty() ? parts[1] : "maxnode", 0, 0,
+      frac);
 }
 
 std::unique_ptr<ScenarioPhase> parse_batch(const std::string& param) {
-  const CountSplit cs = split_count("batch", param);
-  const auto parts = split_commas(cs.head);
-  if (parts.empty() || parts.size() > 2 || parts[0].empty()) {
-    throw std::invalid_argument(
-        "bad batch phase: 'batch:" + param +
-        "' (expected batch:<k>[,hubs|random][xN])");
+  const std::string token = "batch:" + param;
+  const grammar::CountSplit cs =
+      grammar::split_count(kGrammar, "batch", param);
+  const auto parts = util::split(cs.head, ',');
+  if (parts.size() > 2 || parts[0].empty()) {
+    grammar::fail(kGrammar, token, "expected batch:<k>[,hubs|random][xN]");
   }
   const auto k = util::parse_spec_uint("batch", parts[0]);
-  if (k == 0) {
-    throw std::invalid_argument("zero batch size in 'batch:" + param + "'");
-  }
+  if (k == 0) grammar::fail(kGrammar, token, "zero batch size");
   std::string mode = parts.size() == 2 ? parts[1] : "hubs";
   if (mode != "hubs" && mode != "random") {
-    throw std::invalid_argument("unknown batch mode '" + mode +
-                                "' (expected hubs or random)");
+    grammar::fail(kGrammar, token,
+                  "unknown batch mode '" + mode +
+                      "' (expected hubs or random)");
   }
   return std::make_unique<BatchStrikePhase>(
       static_cast<std::size_t>(k), std::move(mode),
       cs.has_count ? cs.count : 0);
 }
 
-std::unique_ptr<ScenarioPhase> parse_churn(const std::string& param) {
-  const CountSplit cs = split_count("churn", param);
-  if (!cs.has_count) {
-    throw std::invalid_argument(
-        "churn phase needs an event count: 'churn:" + param +
-        "' (expected churn:<join_rate>,<leave_rate>[,<attach>]xN)");
+/// A join's attach count: >= 1 peers per arrival.
+std::size_t parse_attach(const std::string& phase, const std::string& token,
+                         const std::string& text) {
+  const auto attach = util::parse_spec_uint(phase, text);
+  if (attach == 0) {
+    grammar::fail(kGrammar, token, "attach count must be >= 1");
   }
-  const auto parts = split_commas(cs.head);
-  if (parts.size() < 2 || parts.size() > 3) {
-    throw std::invalid_argument(
-        "bad churn phase: 'churn:" + param +
-        "' (expected churn:<join_rate>,<leave_rate>[,<attach>]xN)");
-  }
-  const double jr = parse_rate("churn", parts[0]);
-  const double lr = parse_rate("churn", parts[1]);
-  std::size_t attach = 2;
-  if (parts.size() == 3) {
-    attach = static_cast<std::size_t>(
-        util::parse_spec_uint("churn", parts[2]));
-    if (attach == 0) {
-      throw std::invalid_argument("churn attach count must be >= 1 in '" +
-                                  param + "'");
-    }
-  }
-  return std::make_unique<ChurnPhase>(jr, lr, cs.count, attach);
+  return static_cast<std::size_t>(attach);
 }
 
-std::unique_ptr<ScenarioPhase> parse_join(const std::string& param) {
-  const CountSplit cs = split_count("join", param);
-  std::size_t attach = 2;
-  if (!cs.head.empty()) {
-    attach = static_cast<std::size_t>(
-        util::parse_spec_uint("join", cs.head));
-    if (attach == 0) {
-      throw std::invalid_argument("join attach count must be >= 1 in '" +
-                                  param + "'");
-    }
+constexpr const char* kChurnUsage =
+    "churn:<join_rate>,<leave_rate>[,<attach>]xN";
+constexpr const char* kRampUsage =
+    "ramp:<jr0>,<lr0>,<jr1>,<lr1>[,<attach>]xN";
+
+/// churn (2 rates) or ramp (4 rates), then an optional attach count
+/// and the mandatory event count.
+std::unique_ptr<ScenarioPhase> parse_ticks(bool ramp,
+                                           const std::string& param) {
+  const std::string phase = ramp ? "ramp" : "churn";
+  const std::string usage = ramp ? kRampUsage : kChurnUsage;
+  const std::size_t rates = ramp ? 4 : 2;
+  const std::string token = phase + ":" + param;
+  const grammar::CountSplit cs = grammar::split_count(kGrammar, phase, param);
+  if (!cs.has_count) {
+    grammar::fail(kGrammar, token,
+                  "needs an event count (expected " + usage + ")");
   }
-  return std::make_unique<JoinPhase>(attach, cs.has_count ? cs.count : 1);
+  const auto parts = util::split(cs.head, ',');
+  if (parts.size() < rates || parts.size() > rates + 1) {
+    grammar::fail(kGrammar, token, "expected " + usage);
+  }
+  double r[4];
+  for (std::size_t i = 0; i < rates; ++i) {
+    r[i] = grammar::parse_rate(kGrammar, phase, parts[i]);
+  }
+  if (!ramp) {
+    r[2] = r[0];
+    r[3] = r[1];
+  }
+  const std::size_t attach =
+      parts.size() > rates ? parse_attach(phase, token, parts[rates]) : 2;
+  return std::make_unique<ChurnPhase>(ramp, r[0], r[1], r[2], r[3],
+                                      cs.count, attach);
+}
+
+std::unique_ptr<ScenarioPhase> parse_churn(const std::string& param) {
+  return parse_ticks(false, param);
 }
 
 std::unique_ptr<ScenarioPhase> parse_ramp(const std::string& param) {
-  const CountSplit cs = split_count("ramp", param);
-  if (!cs.has_count) {
-    throw std::invalid_argument(
-        "ramp phase needs an event count: 'ramp:" + param +
-        "' (expected ramp:<jr0>,<lr0>,<jr1>,<lr1>[,<attach>]xN)");
-  }
-  const auto parts = split_commas(cs.head);
-  if (parts.size() < 4 || parts.size() > 5) {
-    throw std::invalid_argument(
-        "bad ramp phase: 'ramp:" + param +
-        "' (expected ramp:<jr0>,<lr0>,<jr1>,<lr1>[,<attach>]xN)");
-  }
-  const double jr0 = parse_rate("ramp", parts[0]);
-  const double lr0 = parse_rate("ramp", parts[1]);
-  const double jr1 = parse_rate("ramp", parts[2]);
-  const double lr1 = parse_rate("ramp", parts[3]);
-  std::size_t attach = 2;
-  if (parts.size() == 5) {
-    attach = static_cast<std::size_t>(
-        util::parse_spec_uint("ramp", parts[4]));
-    if (attach == 0) {
-      throw std::invalid_argument("ramp attach count must be >= 1 in '" +
-                                  param + "'");
-    }
-  }
-  return std::make_unique<RampPhase>(jr0, lr0, jr1, lr1, cs.count, attach);
+  return parse_ticks(true, param);
+}
+
+std::unique_ptr<ScenarioPhase> parse_join(const std::string& param) {
+  const grammar::CountSplit cs =
+      grammar::split_count(kGrammar, "join", param);
+  const std::size_t attach =
+      cs.head.empty() ? 2 : parse_attach("join", "join:" + param, cs.head);
+  return std::make_unique<JoinPhase>(attach, cs.has_count ? cs.count : 1);
 }
 
 std::unique_ptr<ScenarioPhase> parse_mix(const std::string& param) {
-  const CountSplit cs = split_count("mix", param);
+  const std::string token = "mix:" + param;
+  const grammar::CountSplit cs = grammar::split_count(kGrammar, "mix", param);
   if (!cs.has_count) {
-    throw std::invalid_argument(
-        "mix phase needs a draw count: 'mix:" + param +
-        "' (expected mix:<w1>{<phases>},<w2>{<phases>}[,...]xN)");
+    grammar::fail(kGrammar, token,
+                  "needs a draw count (expected "
+                  "mix:<w1>{<phases>},<w2>{<phases>}[,...]xN)");
   }
   std::vector<MixArm> arms;
-  for (const std::string& item : split_commas_toplevel(cs.head)) {
-    const auto brace = item.find('{');
-    if (item.empty() || brace == std::string::npos || brace == 0 ||
-        item.back() != '}' || !all_digits(item.substr(0, brace))) {
-      throw std::invalid_argument("bad mix arm '" + item + "' in 'mix:" +
-                                  param +
-                                  "' (expected <weight>{<phases>})");
-    }
-    MixArm arm;
-    arm.weight = util::parse_spec_uint("mix", item.substr(0, brace));
-    if (arm.weight == 0) {
-      throw std::invalid_argument("zero weight in 'mix:" + param + "'");
-    }
-    arm.body =
-        Scenario::parse(item.substr(brace + 1, item.size() - brace - 2));
-    arms.push_back(std::move(arm));
+  for (auto& [weight, body] :
+       grammar::split_mix_arms(kGrammar, token, cs.head)) {
+    arms.push_back(MixArm{weight, Scenario::parse(body)});
   }
   return std::make_unique<MixPhase>(std::move(arms), cs.count);
 }
 
-std::unique_ptr<ScenarioPhase> parse_targeted(const std::string& param) {
-  const CountSplit cs = split_count("targeted", param);
-  const std::string attack = cs.head.empty() ? "maxnode" : cs.head;
-  return std::make_unique<TargetedPhase>(attack,
-                                         cs.has_count ? cs.count : 0);
-}
-
-std::unique_ptr<ScenarioPhase> parse_until(const std::string& param) {
-  const auto parts = split_commas(param);
-  if (parts.empty() || parts.size() > 2 || !all_digits(parts[0])) {
-    throw std::invalid_argument("bad until phase: 'until:" + param +
-                                "' (expected until:<n>[,<attack>])");
-  }
-  const auto n = util::parse_spec_uint("until", parts[0]);
-  if (n == 0) {
-    throw std::invalid_argument("until needs n >= 1 in 'until:" + param +
-                                "'");
-  }
-  return std::make_unique<UntilNLeftPhase>(
-      static_cast<std::size_t>(n),
-      parts.size() == 2 && !parts[1].empty() ? parts[1] : "maxnode");
-}
-
-std::unique_ptr<ScenarioPhase> parse_untilfrac(const std::string& param) {
-  const auto parts = split_commas(param);
-  if (parts.empty() || parts.size() > 2 || parts[0].empty()) {
-    throw std::invalid_argument(
-        "bad untilfrac phase: 'untilfrac:" + param +
-        "' (expected untilfrac:<frac>[,<attack>])");
-  }
-  const double frac = parse_rate("untilfrac", parts[0]);
-  if (frac <= 0.0 || frac > 1.0) {
-    throw std::invalid_argument(
-        "untilfrac needs a fraction in (0, 1] in 'untilfrac:" + param +
-        "'");
-  }
-  return std::make_unique<UntilFracPhase>(
-      frac, parts.size() == 2 && !parts[1].empty() ? parts[1] : "maxnode");
-}
-
 std::unique_ptr<ScenarioPhase> parse_repeat(const std::string& param) {
-  const auto brace = param.find('{');
-  if (brace == std::string::npos || param.empty() ||
-      param.back() != '}' || !all_digits(param.substr(0, brace))) {
-    throw std::invalid_argument("bad repeat phase: 'repeat:" + param +
-                                "' (expected repeat:<k>{<phases>})");
+  const std::string token = "repeat:" + param;
+  std::string digits;
+  std::string body;
+  if (!grammar::split_braced(param, &digits, &body)) {
+    grammar::fail(kGrammar, token, "expected repeat:<k>{<phases>}");
   }
-  const auto times = util::parse_spec_uint("repeat", param.substr(0, brace));
-  if (times == 0) {
-    throw std::invalid_argument("zero count in 'repeat:" + param + "'");
-  }
-  const std::string inner =
-      param.substr(brace + 1, param.size() - brace - 2);
+  const auto times = util::parse_spec_uint("repeat", digits);
+  if (times == 0) grammar::fail(kGrammar, token, "zero count");
   return std::make_unique<RepeatPhase>(static_cast<std::size_t>(times),
-                                       Scenario::parse(inner));
+                                       Scenario::parse(body));
 }
 
 std::unique_ptr<ScenarioPhase> parse_floor(const std::string& param) {
-  if (!all_digits(param)) {
-    throw std::invalid_argument("bad floor phase: 'floor:" + param +
-                                "' (expected floor:<min_alive>)");
+  const std::string token = "floor:" + param;
+  if (!grammar::all_digits(param)) {
+    grammar::fail(kGrammar, token, "expected floor:<min_alive>");
   }
   const auto n = util::parse_spec_uint("floor", param);
-  if (n == 0) {
-    throw std::invalid_argument("floor needs min_alive >= 1 in 'floor:" +
-                                param + "'");
-  }
+  if (n == 0) grammar::fail(kGrammar, token, "floor needs min_alive >= 1");
   return std::make_unique<FloorPhase>(static_cast<std::size_t>(n));
-}
-
-/// Split a spec into phase tokens at top-level ';' (braces nest).
-std::vector<std::string> split_phases(const std::string& spec) {
-  std::vector<std::string> tokens;
-  std::string current;
-  int depth = 0;
-  for (char c : spec) {
-    if (c == '{') ++depth;
-    if (c == '}') {
-      --depth;
-      if (depth < 0) {
-        throw std::invalid_argument("unbalanced '}' in scenario spec: '" +
-                                    spec + "'");
-      }
-    }
-    if (c == ';' && depth == 0) {
-      tokens.push_back(current);
-      current.clear();
-      continue;
-    }
-    current += c;
-  }
-  if (depth != 0) {
-    throw std::invalid_argument("unbalanced '{' in scenario spec: '" +
-                                spec + "'");
-  }
-  tokens.push_back(current);
-  return tokens;
-}
-
-std::string trimmed(const std::string& s) {
-  const auto begin = s.find_first_not_of(" \t\n\r");
-  if (begin == std::string::npos) return "";
-  const auto end = s.find_last_not_of(" \t\n\r");
-  return s.substr(begin, end - begin + 1);
 }
 
 /// Register a named preset: a fixed phase list a spec can pull in by
@@ -917,8 +611,8 @@ void add_preset(util::Registry<ScenarioPhase>* r, const std::string& name,
                                          "' takes no parameter (got '" +
                                          param + "')");
            }
-           return std::make_unique<PresetPhase>(name,
-                                                Scenario::parse(body_spec));
+           return std::make_unique<RepeatPhase>(
+               1, Scenario::parse(body_spec), name);
          },
          {}, name);
 }
@@ -929,51 +623,22 @@ void add_preset(util::Registry<ScenarioPhase>* r, const std::string& name,
 
 util::Registry<ScenarioPhase>& scenario_phase_registry() {
   static util::Registry<ScenarioPhase>* registry = [] {
-    auto* r = new util::Registry<ScenarioPhase>("scenario phase");
-    r->add(
-        "strike",
-        [](const std::string& param) { return parse_strike(param); },
-        {"delete"}, "strike[:<attack>][xN]");
-    r->add(
-        "batch",
-        [](const std::string& param) { return parse_batch(param); },
-        {"batch_strike", "batchstrike"}, "batch:<k>[,hubs|random][xN]");
-    r->add(
-        "churn",
-        [](const std::string& param) { return parse_churn(param); }, {},
-        "churn:<join_rate>,<leave_rate>[,<attach>]xN");
-    r->add(
-        "targeted",
-        [](const std::string& param) { return parse_targeted(param); },
-        {"targeted_attack", "run"}, "targeted[:<attack>][xN]");
-    r->add(
-        "until",
-        [](const std::string& param) { return parse_until(param); },
-        {"until_n_left", "untilnleft"}, "until:<n>[,<attack>]");
-    r->add(
-        "repeat",
-        [](const std::string& param) { return parse_repeat(param); }, {},
-        "repeat:<k>{...}");
-    r->add(
-        "floor",
-        [](const std::string& param) { return parse_floor(param); }, {},
-        "floor:<min_alive>");
-    r->add(
-        "untilfrac",
-        [](const std::string& param) { return parse_untilfrac(param); },
-        {"until_frac"}, "untilfrac:<frac>[,<attack>]");
-    r->add(
-        "join",
-        [](const std::string& param) { return parse_join(param); }, {},
-        "join[:<attach>][xN]");
-    r->add(
-        "ramp",
-        [](const std::string& param) { return parse_ramp(param); }, {},
-        "ramp:<jr0>,<lr0>,<jr1>,<lr1>[,<attach>]xN");
-    r->add(
-        "mix",
-        [](const std::string& param) { return parse_mix(param); }, {},
-        "mix:<w>{...},<w>{...}xN");
+    auto* r = new util::Registry<ScenarioPhase>(kGrammar);
+    r->add("strike", parse_strike, {"delete"}, "strike[:<attack>][xN]");
+    r->add("batch", parse_batch, {"batch_strike", "batchstrike"},
+           "batch:<k>[,hubs|random][xN]");
+    r->add("churn", parse_churn, {}, kChurnUsage);
+    r->add("targeted", parse_targeted, {"targeted_attack", "run"},
+           "targeted[:<attack>][xN]");
+    r->add("until", parse_until, {"until_n_left", "untilnleft"},
+           "until:<n>[,<attack>]");
+    r->add("repeat", parse_repeat, {}, "repeat:<k>{...}");
+    r->add("floor", parse_floor, {}, "floor:<min_alive>");
+    r->add("untilfrac", parse_untilfrac, {"until_frac"},
+           "untilfrac:<frac>[,<attack>]");
+    r->add("join", parse_join, {}, "join[:<attach>][xN]");
+    r->add("ramp", parse_ramp, {}, kRampUsage);
+    r->add("mix", parse_mix, {}, "mix:<w>{...},<w>{...}xN");
     // Named presets (keep these registered after the primitives they
     // expand to): the spellings grids and dash_lab reference directly.
     add_preset(r, "paper-churn", "churn:0.3,0.1x500");
@@ -1001,19 +666,16 @@ Scenario& Scenario::operator=(const Scenario& other) {
 
 Scenario Scenario::parse(const std::string& spec) {
   Scenario out;
-  for (const std::string& raw : split_phases(spec)) {
-    const std::string token = trimmed(raw);
-    if (token.empty()) {
-      throw std::invalid_argument("empty phase in scenario spec: '" + spec +
-                                  "'");
-    }
+  for (const std::string& token :
+       grammar::phase_tokens(spec, "scenario spec")) {
     out.add(scenario_phase_registry().create(token));
   }
   return out;
 }
 
 Scenario& Scenario::strike(std::size_t count, const std::string& attack) {
-  return add(std::make_unique<StrikePhase>(attack, count));
+  return add(
+      std::make_unique<AttackPhase>(Spelling::kStrike, attack, count));
 }
 
 Scenario& Scenario::batch_strike(std::size_t batch_size, std::size_t rounds,
@@ -1023,29 +685,33 @@ Scenario& Scenario::batch_strike(std::size_t batch_size, std::size_t rounds,
 
 Scenario& Scenario::churn(double join_rate, double leave_rate,
                           std::size_t events, std::size_t attach) {
-  return add(
-      std::make_unique<ChurnPhase>(join_rate, leave_rate, events, attach));
+  return add(std::make_unique<ChurnPhase>(false, join_rate, leave_rate,
+                                          join_rate, leave_rate, events,
+                                          attach));
 }
 
 Scenario& Scenario::targeted(const std::string& attack,
                              std::size_t max_deletions) {
-  return add(std::make_unique<TargetedPhase>(attack, max_deletions));
+  return add(std::make_unique<AttackPhase>(Spelling::kTargeted, attack,
+                                           max_deletions));
 }
 
 Scenario& Scenario::targeted(AttackerFactory factory,
                              const std::string& label,
                              std::size_t max_deletions) {
   DASH_CHECK_MSG(factory != nullptr, "null attacker factory");
-  return add(std::make_unique<TargetedPhase>(std::move(factory), label,
-                                             max_deletions));
+  return add(std::make_unique<AttackPhase>(std::move(factory), label,
+                                           max_deletions));
 }
 
 Scenario& Scenario::until_n_left(std::size_t n, const std::string& attack) {
-  return add(std::make_unique<UntilNLeftPhase>(n, attack));
+  return add(
+      std::make_unique<AttackPhase>(Spelling::kUntil, attack, 0, n));
 }
 
 Scenario& Scenario::until_fraction(double frac, const std::string& attack) {
-  return add(std::make_unique<UntilFracPhase>(frac, attack));
+  return add(std::make_unique<AttackPhase>(Spelling::kUntilFrac, attack, 0,
+                                           0, frac));
 }
 
 Scenario& Scenario::repeat(std::size_t times, Scenario body) {

@@ -15,7 +15,10 @@
 //   const api::Metrics m = net.play(sc, seed);
 //
 // Grammar (phases separated by ';', each `name[:args][xCOUNT]`; the
-// count is the trailing `x<digits>` of the args):
+// count is the trailing `x<digits>` of the args). The tokenizer and the
+// canonical printer of every phase shape live in api/phase_grammar.h,
+// the one home of this text format: hunt genomes (hunt/genome.h) parse
+// and print through it too.
 //
 //   strike[:<attack>][xN]        N single deletions picked by <attack>
 //                                (default maxnode, N default 1);

@@ -1,9 +1,9 @@
 #include "attack/adaptive.h"
 
 #include <algorithm>
-#include <limits>
 #include <vector>
 
+#include "attack/basic.h"
 #include "graph/metrics.h"
 #include "util/check.h"
 
@@ -21,15 +21,12 @@ NodeId RankAttack::select(const Graph& g, const HealingState&) {
   auto alive = g.alive_nodes();
   if (alive.empty()) return graph::kInvalidNode;
   const std::size_t idx = std::min(rank_ - 1, alive.size() - 1);
-  // (degree desc, id asc) is a total order, so nth_element lands the
-  // same node regardless of the input permutation.
+  // The hub order is total, so nth_element lands the same node
+  // regardless of the input permutation.
   std::nth_element(alive.begin(),
                    alive.begin() + static_cast<std::ptrdiff_t>(idx),
                    alive.end(), [&g](NodeId a, NodeId b) {
-                     if (g.degree(a) != g.degree(b)) {
-                       return g.degree(a) > g.degree(b);
-                     }
-                     return a < b;
+                     return graph::hub_before(g, a, b);
                    });
   return alive[idx];
 }
@@ -42,17 +39,9 @@ std::string AdaptiveAttack::name() const {
 }
 
 NodeId AdaptiveAttack::select(const Graph& g, const HealingState& state) {
-  NodeId burdened = graph::kInvalidNode;
-  std::int32_t best = std::numeric_limits<std::int32_t>::min();
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (!g.alive(v)) continue;
-    if (burdened == graph::kInvalidNode || state.delta(v) > best) {
-      burdened = v;
-      best = state.delta(v);
-    }
-  }
+  const NodeId burdened = argmax_delta(g, state);
   if (burdened == graph::kInvalidNode) return graph::kInvalidNode;
-  if (best >= threshold_) {
+  if (state.delta(burdened) >= threshold_) {
     NodeId target = graph::kInvalidNode;
     std::size_t target_deg = 0;
     for (NodeId u : state.forest_neighbors(burdened)) {

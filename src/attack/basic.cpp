@@ -18,9 +18,7 @@ NodeId NeighborOfMaxAttack::select(const Graph& g, const HealingState&) {
 }
 
 NodeId RandomAttack::select(const Graph& g, const HealingState&) {
-  const auto alive = g.alive_nodes();
-  if (alive.empty()) return graph::kInvalidNode;
-  return alive[static_cast<std::size_t>(rng_.below(alive.size()))];
+  return graph::uniform_alive(g, rng_);
 }
 
 NodeId MinNodeAttack::select(const Graph& g, const HealingState&) {
@@ -37,6 +35,10 @@ NodeId MinNodeAttack::select(const Graph& g, const HealingState&) {
 }
 
 NodeId MaxDeltaAttack::select(const Graph& g, const HealingState& state) {
+  return argmax_delta(g, state);
+}
+
+NodeId argmax_delta(const Graph& g, const HealingState& state) {
   NodeId best = graph::kInvalidNode;
   std::int32_t best_delta = 0;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {

@@ -59,6 +59,11 @@ class MinNodeAttack final : public AttackStrategy {
   }
 };
 
+/// The alive node with the highest delta (lowest id wins ties);
+/// kInvalidNode for an empty graph. The query behind MaxDeltaAttack and
+/// AdaptiveAttack's "most burdened node".
+NodeId argmax_delta(const Graph& g, const HealingState& state);
+
 /// Delete the alive node with the highest delta (the healer's most
 /// burdened node) -- an adaptive adversary aimed directly at the metric
 /// DASH protects. Ties broken by lowest id.

@@ -11,6 +11,7 @@
 #include "core/factory.h"
 #include "graph/generators.h"
 #include "util/registry.h"
+#include "util/text.h"
 
 namespace dash::exp {
 
@@ -18,30 +19,18 @@ namespace {
 
 constexpr std::uint64_t kCellSeedGolden = 0x9E3779B97F4A7C15ULL;
 
-std::string trimmed(const std::string& s) {
-  const auto begin = s.find_first_not_of(" \t\r\n");
-  if (begin == std::string::npos) return "";
-  const auto end = s.find_last_not_of(" \t\r\n");
-  return s.substr(begin, end - begin + 1);
-}
+using util::trimmed;
 
 /// '|'-separated list with trimmed items; empty items are spec typos.
 std::vector<std::string> split_list(const std::string& key,
                                     const std::string& value) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= value.size()) {
-    const auto bar = value.find('|', start);
-    const std::string item = trimmed(
-        bar == std::string::npos ? value.substr(start)
-                                 : value.substr(start, bar - start));
+  std::vector<std::string> out = util::split(value, '|');
+  for (std::string& item : out) {
+    item = trimmed(item);
     if (item.empty()) {
       throw std::invalid_argument("empty item in experiment key '" + key +
                                   "': '" + value + "'");
     }
-    out.push_back(item);
-    if (bar == std::string::npos) break;
-    start = bar + 1;
   }
   return out;
 }

@@ -23,6 +23,12 @@ NodeId argmax_degree(const Graph& g) {
   return best;
 }
 
+NodeId uniform_alive(const Graph& g, dash::util::Rng& rng) {
+  const auto alive = g.alive_nodes();
+  if (alive.empty()) return kInvalidNode;
+  return alive[static_cast<std::size_t>(rng.below(alive.size()))];
+}
+
 double average_degree(const Graph& g) {
   if (g.num_alive() == 0) return 0.0;
   return 2.0 * static_cast<double>(g.num_edges()) /

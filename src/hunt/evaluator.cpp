@@ -11,21 +11,11 @@
 #include "util/csv.h"
 #include "util/output.h"
 #include "util/registry.h"
+#include "util/text.h"
 
 namespace dash::hunt {
 
 namespace {
-
-std::vector<std::string> split_commas(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t begin = 0;
-  while (true) {
-    const std::size_t comma = s.find(',', begin);
-    out.push_back(s.substr(begin, comma - begin));
-    if (comma == std::string::npos) return out;
-    begin = comma + 1;
-  }
-}
 
 double parse_weight(const std::string& text) {
   double v = 0.0;
@@ -176,7 +166,7 @@ FitnessSpec FitnessSpec::parse(const std::string& spec) {
   } else if (name == "disconnect" && param.empty()) {
     out = {0.0, 0.0, 1.0, "disconnect"};
   } else if (name == "combo") {
-    const std::vector<std::string> parts = split_commas(param);
+    const std::vector<std::string> parts = util::split(param, ',');
     if (parts.size() != 3) {
       throw std::invalid_argument(
           "fitness combo wants 3 weights: combo:<wd>,<ws>,<wc>");
@@ -414,6 +404,13 @@ void Evaluator::load_spool() {
       begin = sep + 1;
     }
     if (score.groups.size() != cfg_.healers.size()) continue;
+    // Every complete line holds a genome this hunt scored: a spec that
+    // does not parse as one is a corrupt spool, not a cache miss.
+    try {
+      AttackGenome::parse(spec);
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument("hunt spool " + path + ": " + e.what());
+    }
     computed_[spec] = std::move(score);
   }
   in.close();

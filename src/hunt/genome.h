@@ -13,14 +13,16 @@
 //   g.spec();          // the same string (canonical fixed point)
 //   g.to_scenario();   // an api::Scenario ready for Network::play
 //
-// Moves parse through a util::Registry keyed by the move name, so
-// genomes serialize, hash, and round-trip exactly like scenario specs,
-// and an unknown move's error lists the registered alphabet. The
-// genome grammar is strictly narrower than the scenario grammar: every
-// move must carry an explicit count, parameter ranges are clamped by
-// GenomeLimits (evaluation cost stays bounded no matter what the
-// mutator breeds), and open-ended phases (targeted, until, repeat,
-// trace) are not part of the alphabet.
+// Moves parse through a util::Registry keyed by the move name, and an
+// unknown move's error lists the registered alphabet. There is one
+// tokenizer and one printer: a genome splits, counts, reads rates and
+// prints through the scenario layer's api/phase_grammar.h, so a genome
+// spec is scenario-canonical by construction. The genome's strictness
+// is checked on those shared tokens: every move must carry an explicit
+// count, parameter ranges are clamped by GenomeLimits (evaluation cost
+// stays bounded no matter what the mutator breeds), mix arms are
+// single non-mix moves, and open-ended phases (targeted, until,
+// repeat, trace) are not part of the alphabet.
 #pragma once
 
 #include <cstddef>
@@ -47,9 +49,8 @@ struct GenomeLimits {
 const GenomeLimits& genome_limits();
 
 /// One typed move. Which fields are live depends on `kind`; spec()
-/// renders the canonical phase text (identical to the corresponding
-/// api::Scenario phase's canonical form, so a genome spec is already
-/// scenario-canonical).
+/// renders the canonical phase text with the scenario layer's printer
+/// for that phase shape.
 struct Move {
   enum class Kind { kStrike, kBatch, kChurn, kJoin, kRamp, kMix };
 

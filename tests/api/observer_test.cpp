@@ -127,6 +127,48 @@ TEST(InvariantObserver, SurfacesViolationForBadBound) {
   EXPECT_EQ(m.violation, inv.violation());
 }
 
+/// NoHeal, except that its second heal wires two survivors that are
+/// not neighbours of the deleted node: a locality breach that only
+/// happens after the network has split.
+class LateRogueHealer final : public core::HealingStrategy {
+ public:
+  std::string name() const override { return "LateRogue"; }
+  core::HealAction heal(Graph& g, core::HealingState&,
+                        const core::DeletionContext& ctx) override {
+    core::HealAction action;
+    action.reconnection_set_size = ctx.neighbors_g.size();
+    if (++heals_ == 2) {
+      g.add_edge(0, 9);
+      action.new_graph_edges.emplace_back(0, 9);
+    }
+    return action;
+  }
+  bool maintains_component_ids() const override { return false; }
+  std::unique_ptr<core::HealingStrategy> clone() const override {
+    return std::make_unique<LateRogueHealer>(*this);
+  }
+
+ private:
+  int heals_ = 0;
+};
+
+TEST(InvariantObserver, BatteryKeepsCheckingAfterDisconnection) {
+  // Deleting the middle of a 10-node path splits it; the rogue heal of
+  // the next round must still be caught, and reported after the split.
+  Rng rng(1);
+  Network net(graph::path_graph(10), std::make_unique<LateRogueHealer>(),
+              rng);
+  InvariantObserver inv;
+  net.add_observer(&inv);
+  net.remove(5);
+  net.remove(7);
+  const Metrics m = net.finish();
+  EXPECT_EQ(m.violation,
+            "network disconnected after round 1; then healing edge {0,9} "
+            "joins non-neighbors of the deleted node");
+  EXPECT_EQ(inv.violation(), m.violation);
+}
+
 TEST(InvariantObserver, RemBoundHoldsForDash) {
   auto net = make_net(64, 6);
   InvariantOptions opts;

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "api/api.h"
 #include "graph/generators.h"
@@ -36,6 +39,38 @@ std::string what_of(const std::string& spec) {
   }
   ADD_FAILURE() << "spec '" << spec << "' unexpectedly parsed";
   return "";
+}
+
+/// Every row one play emits (CsvStreamSink's formatting), so two plays
+/// compare event for event.
+std::vector<std::vector<std::string>> play_rows(const std::string& spec,
+                                                std::size_t n,
+                                                std::uint64_t seed) {
+  auto net = make_net(n, seed);
+  MemorySink sink;
+  SinkObserver rows(sink);
+  net.add_observer(&rows);
+  net.play(Scenario::parse(spec), seed);
+  std::vector<std::vector<std::string>> out;
+  for (const RoundRow& row : sink.rows()) {
+    out.push_back(round_row_fields(row));
+  }
+  return out;
+}
+
+/// The deleted node of every deletion round, in order.
+std::vector<std::uint32_t> victims(const std::string& spec, std::size_t n,
+                                   std::uint64_t seed) {
+  auto net = make_net(n, seed);
+  MemorySink sink;
+  SinkObserver rows(sink);
+  net.add_observer(&rows);
+  net.play(Scenario::parse(spec), seed);
+  std::vector<std::uint32_t> out;
+  for (const RoundRow& row : sink.rows()) {
+    if (!row.is_join) out.push_back(row.event_node);
+  }
+  return out;
 }
 
 // ---- parsing: canonical forms and round trips ------------------------
@@ -69,6 +104,98 @@ TEST(ScenarioParse, ShorthandsNormalize) {
   EXPECT_EQ(Scenario::parse("DELETE:3").spec(), "strike:maxnodex3");
   EXPECT_EQ(Scenario::parse("batch_strike:2x1").spec(), "batch:2,hubsx1");
   EXPECT_EQ(Scenario::parse("run:maxnode").spec(), "targeted:maxnode");
+}
+
+TEST(ScenarioParse, EveryRegisteredSpellingIsAFixedPoint) {
+  // Samples for every registered display spelling, aliases and
+  // shorthands included; a newly registered phase without samples fails
+  // here. Replay traces, hunt spools and leaderboards store canonical
+  // forms, so each must print back to itself.
+  const std::map<std::string, std::vector<std::string>> samples = {
+      {"strike[:<attack>][xN]",
+       {"strike", "strike:7", "delete:randomx3", "strike:rank:2x4"}},
+      {"batch:<k>[,hubs|random][xN]",
+       {"batch:8", "batch:3,randomx2", "batch_strike:2x1",
+        "batchstrike:4,hubs"}},
+      {"churn:<join_rate>,<leave_rate>[,<attach>]xN",
+       {"churn:0.3,0.1x500", "churn:1,0,3x2", "churn:0.5,0.5,2x7"}},
+      {"targeted[:<attack>][xN]",
+       {"targeted", "targeted:neighborofmaxx7", "targeted_attack:random",
+        "run:maxdelta"}},
+      {"until:<n>[,<attack>]",
+       {"until:10", "until_n_left:5,random", "untilnleft:3"}},
+      {"repeat:<k>{...}",
+       {"repeat:2{strike;floor:4}", "repeat:1{repeat:2{join}}"}},
+      {"floor:<min_alive>", {"floor:2"}},
+      {"untilfrac:<frac>[,<attack>]",
+       {"untilfrac:0.5", "until_frac:0.25,random", "untilfrac:1"}},
+      {"join[:<attach>][xN]", {"join", "join:4x15"}},
+      {"ramp:<jr0>,<lr0>,<jr1>,<lr1>[,<attach>]xN",
+       {"ramp:0,0.5,1,0x10", "ramp:0.3,0.1,0.3,0.1x5", "ramp:0,0,1,1,3x8"}},
+      {"mix:<w>{...},<w>{...}xN",
+       {"mix:2{strike},1{churn:0.5,0.5x3}x4",
+        "mix:1{mix:1{join}x2;floor:3}x2"}},
+      {"paper-churn", {"paper-churn"}},
+      {"max-degree-attack", {"max-degree-attack"}},
+      {"until-half", {"until-half"}},
+      {"until-quarter", {"until-quarter"}},
+      // Needs a trace file; trace_phase_test round-trips it.
+      {"trace:<file>", {}},
+  };
+  for (const std::string& name : scenario_phase_registry().names()) {
+    const auto it = samples.find(name);
+    ASSERT_NE(it, samples.end()) << "no samples for '" << name << "'";
+    for (const std::string& sample : it->second) {
+      const std::string canon = Scenario::parse(sample).spec();
+      EXPECT_EQ(Scenario::parse(canon).spec(), canon) << sample;
+    }
+  }
+}
+
+TEST(ScenarioParse, RejectionsNameTheGrammarAndToken) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"", "''"},
+      {"strike;;strike", "strike;;strike"},
+      {"strike:", "strike:"},
+      {"strike:0", "strike:0"},
+      {"strike:maxnodex0", "strike:maxnodex0"},
+      {"strike:40x5", "'40'"},
+      {"batch:0", "batch:0"},
+      {"batch:4x0", "batch:4x0"},
+      {"batch:4,sideways", "sideways"},
+      {"churn:0.5,0.5x0", "churn:0.5,0.5x0"},
+      {"churn:0.5,0.5", "churn:0.5,0.5"},
+      {"churn:1.5,0x3", "'1.5'"},
+      {"churn:abc,0x3", "'abc'"},
+      {"churn:0.5x3", "churn:0.5x3"},
+      {"churn:0.5,0.5,0x3", "churn:0.5,0.5,0x3"},
+      {"targeted:nosuchattack", "nosuchattack"},
+      {"until:0", "until:0"},
+      {"until:many", "until:many"},
+      {"until:5,nosuchattack", "nosuchattack"},
+      {"untilfrac:0", "untilfrac:0"},
+      {"untilfrac:1.5", "'1.5'"},
+      {"repeat:0{strike}", "repeat:0{strike}"},
+      {"repeat:2{strike", "repeat:2{strike"},
+      {"repeat:2strike}", "repeat:2strike}"},
+      {"floor:0", "floor:0"},
+      {"floor:two", "floor:two"},
+      {"join:0x3", "join:0x3"},
+      {"ramp:0,0.5,1,0", "ramp:0,0.5,1,0"},
+      {"ramp:0,0.5x10", "ramp:0,0.5x10"},
+      {"ramp:0,2,1,0x10", "'2'"},
+      {"mix:1{strike:maxnodex1}", "mix:1{strike:maxnodex1}"},
+      {"mix:0{strike:maxnodex1}x2", "mix:0{strike:maxnodex1}x2"},
+      {"mix:1{strike},2x3", "'2'"},
+      {"paper-churn:3", "paper-churn"},
+      {"shake:3", "shake:3"},
+  };
+  for (const auto& [spec, token] : cases) {
+    const std::string msg = what_of(spec);
+    EXPECT_NE(msg.find("scenario"), std::string::npos) << spec << ": "
+                                                         << msg;
+    EXPECT_NE(msg.find(token), std::string::npos) << spec << ": " << msg;
+  }
 }
 
 TEST(ScenarioParse, BuilderMatchesParsedSpec) {
@@ -207,6 +334,27 @@ TEST(ScenarioPlay, RampWithFlatRatesMatchesChurn) {
   EXPECT_EQ(ma.joins, mb.joins);
   EXPECT_EQ(ma.deletions, mb.deletions);
   EXPECT_EQ(ma.edges_added, mb.edges_added);
+  // Fractional rates and a non-default attach: the same rows, and each
+  // spelling prints as itself.
+  const auto churn = play_rows("churn:0.3,0.1,3x200", 32, 10);
+  EXPECT_EQ(play_rows("ramp:0.3,0.1,0.3,0.1,3x200", 32, 10), churn);
+  EXPECT_GT(churn.size(), 40u);
+  EXPECT_EQ(Scenario::parse("ramp:0.3,0.1,0.3,0.1,3x200").spec(),
+            "ramp:0.3,0.1,0.3,0.1,3x200");
+}
+
+TEST(ScenarioPlay, AttackSpellingsShareOneLoop) {
+  // strike:<a>xN is targeted:<a>xN under another name, and until:k is
+  // untilfrac at k/n: the same victims in the same order.
+  for (const char* attack : {"maxnode", "random", "neighborofmax"}) {
+    const std::string a = attack;
+    const auto struck = victims("strike:" + a + "x20", 48, 21);
+    EXPECT_EQ(struck.size(), 20u) << a;
+    EXPECT_EQ(victims("targeted:" + a + "x20", 48, 21), struck) << a;
+    const auto until = victims("until:16," + a, 64, 22);
+    EXPECT_EQ(until.size(), 48u) << a;
+    EXPECT_EQ(victims("untilfrac:0.25," + a, 64, 22), until) << a;
+  }
 }
 
 TEST(ScenarioPlay, RampInterpolatesRates) {

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "api/scenario.h"
 #include "exp/spec.h"
@@ -91,6 +92,42 @@ TEST(GenomeParse, RejectsOutsideTheStrictGrammar) {
                std::invalid_argument);
 }
 
+TEST(GenomeParse, RejectionsNameTheGrammarAndToken) {
+  // Genome moves tokenize through the scenario layer's grammar, but a
+  // rejected genome still reports itself as a hunt input: every error
+  // says "hunt" and quotes the offending text.
+  const std::pair<const char*, const char*> cases[] = {
+      {"", "''"},
+      {"strike:maxnodex3;;join:2x1", "strike:maxnodex3;;join:2x1"},
+      {"strike:maxnodex3}", "strike:maxnodex3}"},
+      {"shake:3x1", "shake:3x1"},
+      {"strike:maxnode", "strike:maxnode"},
+      {"join:2", "join:2"},
+      {"strike:maxnodex0", "strike:maxnodex0"},
+      {"strike:maxnodex9999", "strike:maxnodex9999"},
+      {"strike:nosuchx3", "nosuch"},
+      {"churn:0.3x5", "churn:0.3x5"},
+      {"churn:2,0x5", "'2'"},
+      {"join:0x5", "'0'"},
+      {"batch:4x3", "batch:4x3"},
+      {"batch:4,sidewaysx3", "sideways"},
+      {"mix:0{join:2x1}x2", "mix:0{join:2x1}x2"},
+      {"mix:1{mix:1{join:2x1}x2}x2", "mix:1{mix:1{join:2x1}x2}x2"},
+      {"mix:1{join:2x1},2x3", "'2'"},
+  };
+  for (const auto& [spec, token] : cases) {
+    try {
+      AttackGenome::parse(spec);
+      ADD_FAILURE() << "genome '" << spec << "' unexpectedly parsed";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("hunt"), std::string::npos) << spec << ": "
+                                                     << msg;
+      EXPECT_NE(msg.find(token), std::string::npos) << spec << ": " << msg;
+    }
+  }
+}
+
 TEST(GenomeParse, RejectsTooManyMoves) {
   std::string spec = "strike:maxnodex1";
   for (std::size_t i = 0; i < genome_limits().max_moves; ++i) {
@@ -135,6 +172,26 @@ TEST(MutationKit, CrossoverSplicesValidGenomes) {
     ASSERT_GE(child.size(), 1u);
     ASSERT_LE(child.size(), genome_limits().max_moves);
     ASSERT_EQ(AttackGenome::parse(child.spec()).spec(), child.spec());
+  }
+}
+
+TEST(MutationKit, BredGenomesAreScenarioCanonical) {
+  // The one-grammar contract over everything the search breeds: the
+  // genome parser, the genome printer and the scenario parser agree on
+  // every candidate, so a hunted spec means the same to both layers.
+  util::Rng rng(2024);
+  AttackGenome g = random_genome(rng);
+  for (int i = 0; i < 12000; ++i) {
+    if (i % 16 == 0) {
+      g = random_genome(rng);
+    } else if (i % 4 == 0) {
+      g = crossover(g, random_genome(rng), rng);
+    } else {
+      mutate_genome(g, rng);
+    }
+    const std::string spec = g.spec();
+    ASSERT_EQ(AttackGenome::parse(spec).spec(), spec) << "step " << i;
+    ASSERT_EQ(api::Scenario::parse(spec).spec(), spec) << "step " << i;
   }
 }
 

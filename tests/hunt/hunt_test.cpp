@@ -151,6 +151,28 @@ TEST(Hunt, SpoolFromDifferentConfigIsRejected) {
   fs::remove_all(dir);
 }
 
+TEST(Hunt, SpoolWithABadGenomeFailsNamingTheToken) {
+  const std::string dir = scratch("bad_genome");
+  run_hunt(tiny(dir));
+  // Swap the first scored spec for one with a zero count.
+  std::string spool = slurp(dir + "/spool.tsv");
+  const std::size_t line = spool.find('\n') + 1;
+  spool.replace(line, spool.find('\t', line) - line, "strike:maxnodex0");
+  std::ofstream(dir + "/spool.tsv", std::ios::trunc) << spool;
+  auto again = tiny(dir);
+  again.resume = true;
+  try {
+    run_hunt(again);
+    ADD_FAILURE() << "resume accepted a corrupt spool";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(dir + "/spool.tsv"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("hunt move 'strike:maxnodex0'"), std::string::npos)
+        << msg;
+  }
+  fs::remove_all(dir);
+}
+
 // ---- unwritable artifacts ---------------------------------------------
 
 /// Run the tiny hunt with `artifact` (a file name inside its state dir)

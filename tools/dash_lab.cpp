@@ -71,6 +71,7 @@
 #include "util/cli.h"
 #include "util/csv.h"
 #include "util/output.h"
+#include "util/text.h"
 
 namespace {
 
@@ -191,16 +192,6 @@ void parse_shard(const std::string& text, dash::exp::ShardOptions* out) {
     throw std::invalid_argument("bad --shard '" + text +
                                 "' (expected I/N with 0 <= I < N)");
   }
-}
-
-std::vector<std::string> split_commas(const std::string& s) {
-  std::vector<std::string> out;
-  std::istringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
 }
 
 using dash::util::flush_checked;
@@ -401,7 +392,8 @@ int cmd_merge(const LabOptions& opt) {
         "merge needs --inputs <shard.jsonl,shard.jsonl,...>");
   }
   std::vector<dash::exp::ShardRecord> records;
-  for (const std::string& path : split_commas(opt.inputs)) {
+  for (const std::string& path :
+       dash::util::split(opt.inputs, ',', /*drop_empty=*/true)) {
     const auto shard = dash::exp::load_shard_file(path);
     records.insert(records.end(), shard.begin(), shard.end());
   }
@@ -411,7 +403,8 @@ int cmd_merge(const LabOptions& opt) {
           "--rows-inputs needs --rows <file> for the merged rows");
     }
     std::vector<dash::exp::RowsRecord> rows;
-    for (const std::string& path : split_commas(opt.rows_inputs)) {
+    for (const std::string& path :
+         dash::util::split(opt.rows_inputs, ',', /*drop_empty=*/true)) {
       auto shard_rows = dash::exp::load_rows_file(path);
       rows.insert(rows.end(),
                   std::make_move_iterator(shard_rows.begin()),
@@ -626,7 +619,7 @@ int cmd_fuzz(const LabOptions& opt) {
   dash::replay::FuzzOptions fopt;
   fopt.mutants = static_cast<std::size_t>(opt.mutants);
   fopt.seed = opt.seed;
-  fopt.healers = split_commas(opt.healers);
+  fopt.healers = dash::util::split(opt.healers, ',', /*drop_empty=*/true);
   fopt.shrink = !opt.no_shrink;
   fopt.repro_dir = opt.repro_dir;
   const dash::replay::FuzzReport report =
@@ -653,7 +646,8 @@ int cmd_hunt(const LabOptions& opt) {
   cfg.n = static_cast<std::size_t>(opt.n);
   cfg.ba_edges = static_cast<std::size_t>(opt.ba_edges);
   cfg.healers =
-      split_commas(opt.healers.empty() ? std::string("dash") : opt.healers);
+      dash::util::split(opt.healers.empty() ? "dash" : opt.healers, ',',
+                        /*drop_empty=*/true);
   cfg.instances = static_cast<std::size_t>(opt.instances);
   cfg.seed = opt.seed;
   cfg.stretch_every = static_cast<std::size_t>(opt.stretch_every);
