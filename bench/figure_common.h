@@ -1,9 +1,10 @@
-// figure_common.h -- shared machinery for the figure-reproduction
+// figure_common.h -- shared machinery for the ablation and bound
 // benches: size sweeps over Barabasi-Albert graphs, multi-instance
-// averaging (Sec. 4.1 methodology), and paper-style table output.
+// averaging (Sec. 4.1 methodology), and paper-style table output. The
+// paper's figures themselves are grid specs (examples/fig8.spec,
+// examples/fig10.spec) that `dash_lab run` tabulates.
 #pragma once
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -13,15 +14,12 @@
 #include <vector>
 
 #include "api/api.h"
-#include "exp/runner.h"
-#include "exp/spec.h"
+#include "exp/figure.h"
 #include "graph/generators.h"
-#include "util/ascii_plot.h"
 #include "util/cli.h"
 #include "util/csv.h"
 #include "util/output.h"
 #include "util/stats.h"
-#include "util/table.h"
 #include "util/thread_pool.h"
 
 namespace dash::bench {
@@ -134,8 +132,8 @@ inline dash::util::Summary run_cell(
 }
 
 /// Print one figure: rows = sizes, one column per strategy (mean of the
-/// metric, the same series the paper plots), plus an optional CSV dump
-/// with mean/stddev/min/max per cell.
+/// metric, the same series the paper plots) drawn by exp::print_figure,
+/// plus an optional CSV dump with mean/stddev/min/max per cell.
 inline void print_figure(
     const std::string& title, const FigureOptions& fo,
     const std::vector<std::string>& strategy_names,
@@ -146,31 +144,12 @@ inline void print_figure(
             << " ba_edges=" << fo.ba_edges << " metric=" << metric_name
             << "\n\n";
 
-  std::vector<std::string> header{"n"};
-  header.insert(header.end(), strategy_names.begin(), strategy_names.end());
-  dash::util::Table table(header);
-  for (std::size_t n : fo.sizes()) {
-    table.begin_row();
-    table.cell(std::to_string(n));
-    for (const auto& strat : strategy_names) {
-      for (const auto& p : points) {
-        if (p.n == n && p.strategy == strat) {
-          table.cell(p.summary.mean, 2);
-          break;
-        }
-      }
-    }
-  }
-  table.print(std::cout);
-
-  // Draw the figure itself, one marker per strategy.
-  std::vector<std::string> x_labels;
-  for (std::size_t n : fo.sizes()) x_labels.push_back(std::to_string(n));
-  std::vector<dash::util::Series> plot_series;
+  const std::vector<std::size_t> sizes = fo.sizes();
+  std::vector<dash::util::Series> series;
   for (const auto& strat : strategy_names) {
     dash::util::Series s;
     s.label = strat;
-    for (std::size_t n : fo.sizes()) {
+    for (std::size_t n : sizes) {
       for (const auto& p : points) {
         if (p.n == n && p.strategy == strat) {
           s.y.push_back(p.summary.mean);
@@ -178,12 +157,9 @@ inline void print_figure(
         }
       }
     }
-    if (s.y.size() == x_labels.size()) plot_series.push_back(std::move(s));
+    series.push_back(std::move(s));
   }
-  if (!plot_series.empty() && x_labels.size() >= 2) {
-    std::cout << '\n';
-    dash::util::ascii_plot(std::cout, x_labels, plot_series);
-  }
+  exp::print_figure(std::cout, sizes, series);
 
   if (!fo.csv_path.empty()) {
     std::ofstream out(fo.csv_path);
@@ -226,90 +202,6 @@ struct JsonOutput {
 inline int report_error(const std::exception& e) {
   std::fprintf(stderr, "error: %s\n", e.what());
   return dynamic_cast<const util::WriteError*>(&e) != nullptr ? 1 : 2;
-}
-
-/// The figure benches are grid runs: one ExperimentSpec over the
-/// common flags (sizes x healers x one scenario), executed by the exp
-/// runner. The derived cell seeds and group labels reproduce the
-/// historical per-cell layout, so `--json` documents are unchanged --
-/// and `dash_lab run --grid "$(canonical spec)"` recomputes any figure,
-/// sharded across processes if desired.
-inline exp::ExperimentSpec grid_spec(const FigureOptions& fo,
-                                     std::string name,
-                                     std::vector<std::string> healers,
-                                     std::string scenario,
-                                     std::size_t stretch_every = 0) {
-  exp::ExperimentSpec spec;
-  spec.name = std::move(name);
-  spec.sizes = fo.sizes();
-  spec.healers = std::move(healers);
-  spec.scenarios = {std::move(scenario)};
-  spec.instances = static_cast<std::size_t>(fo.instances);
-  spec.seed = fo.seed;
-  spec.ba_edges = static_cast<std::size_t>(fo.ba_edges);
-  spec.stretch_every = stretch_every;
-  return spec;
-}
-
-/// Execute a figure grid and render the table / plot / CSV / JSON
-/// outputs from its cells.
-inline int run_grid_figure(const std::string& title,
-                           const FigureOptions& fo,
-                           const exp::ExperimentSpec& spec,
-                           const std::string& metric_name,
-                           const MetricFn& metric) {
-  try {
-    std::vector<std::string> names;
-    std::vector<SeriesPoint> points;
-    std::vector<exp::ShardRecord> records;
-    const std::size_t total = spec.enumerate().size();
-
-    exp::RunnerOptions ropt;
-    ropt.threads = static_cast<std::size_t>(fo.threads);
-    ropt.on_cell = [&](const exp::CellResult& result) {
-      SeriesPoint p;
-      p.n = result.cell.n;
-      p.strategy = result.cell.strategy_label;
-      p.summary = api::summarize_metric(result.runs, metric);
-      points.push_back(std::move(p));
-      if (std::find(names.begin(), names.end(),
-                    result.cell.strategy_label) == names.end()) {
-        names.push_back(result.cell.strategy_label);
-      }
-      if (!fo.json_path.empty()) {
-        records.push_back(exp::to_record(spec, result));
-      }
-      std::fprintf(stderr, "  [%zu/%zu] done n=%zu strategy=%s\n",
-                   result.cell.index + 1, total, result.cell.n,
-                   result.cell.strategy_label.c_str());
-    };
-    exp::run(spec, ropt);
-
-    print_figure(title, fo, names, points, metric_name);
-    if (!fo.json_path.empty()) {
-      util::write_file(fo.json_path, exp::merged_document(spec, records));
-      std::cout << "JSON summary written to " << fo.json_path << "\n";
-    }
-    std::fprintf(stderr, "grid: %s\n", spec.canonical().c_str());
-  } catch (const std::exception& e) {
-    return report_error(e);
-  }
-  return 0;
-}
-
-/// Full driver shared by Fig. 8 / 9(a) / 9(b): sweep sizes x the paper's
-/// five strategies, each cell one declarative scenario suite, and
-/// report `metric`. `fo` is already parsed.
-inline int run_strategy_sweep_figure(const FigureOptions& fo,
-                                     const std::string& title,
-                                     const std::string& metric_name,
-                                     const MetricFn& metric) {
-  // The paper's schedule: the adversary deletes until the graph is
-  // gone, no observers.
-  const auto spec = grid_spec(fo, metric_name,
-                              core::paper_strategy_specs(),
-                              "targeted:" + fo.attack);
-  return run_grid_figure(title, fo, spec, metric_name, metric);
 }
 
 }  // namespace dash::bench

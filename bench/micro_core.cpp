@@ -84,19 +84,6 @@ void BM_PointDistance(benchmark::State& state) {
 }
 BENCHMARK(BM_PointDistance)->Arg(8192)->Arg(100000);
 
-void BM_BfsDistancesLegacy(benchmark::State& state) {
-  // The historical signature: same engine underneath, plus the
-  // per-call materialization of the full distance vector.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(2);
-  const Graph g = dash::graph::barabasi_albert(n, 2, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dash::graph::bfs_distances(g, 0));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_BfsDistancesLegacy)->Arg(1024)->Arg(8192);
-
 void BM_StretchSample(benchmark::State& state) {
   // One full stretch sample (max+average in a single APSP pass) on a
   // static BA graph with 10% of the nodes deleted and path-healed:

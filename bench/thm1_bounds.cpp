@@ -17,6 +17,7 @@
 #include "figure_common.h"
 #include "graph/metrics.h"
 #include "sim/distributed_dash.h"
+#include "util/table.h"
 
 namespace {
 

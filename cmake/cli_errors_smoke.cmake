@@ -34,7 +34,7 @@ expect("quickstart --healer bogus" 2
 # A size sweep that is not one fails by name before any work: --min-n 0
 # never advances the doubling, --min-n above --max-n is empty, and a
 # --max-n past the node id range would wrap the doubling.
-foreach(binary fig8_degree_increase sweep_cli sim_distributed)
+foreach(binary thm1_bounds sim_distributed)
   expect("${binary} --min-n 0" 2 "--min-n must be >= 1"
          ${binary} --min-n 0 --max-n 64 --instances 1)
   expect("${binary} --min-n 64 --max-n 32" 2 "--min-n 64 exceeds --max-n 32"
@@ -44,20 +44,22 @@ foreach(binary fig8_degree_increase sweep_cli sim_distributed)
          ${binary} --min-n 64 --max-n 9223372036854775808 --instances 1)
 endforeach()
 
+# A scenario whose attack parameter is bad fails by name when the
+# phase runs, not with an uncaught exception.
+expect("quickstart --scenario strike:rank:abcx3" 2
+       "bad scenario: .*rank"
+       quickstart --n 32 --scenario strike:rank:abcx3)
+
 set(FIG --min-n 16 --max-n 16 --instances 1)
-expect("fig8 --json to a missing directory" 1
+expect("ablation_leaf_placement --json to a missing directory" 1
        "cannot write '${WORK_DIR}/no/such/dir/x.json'"
-       fig8_degree_increase ${FIG} --json ${WORK_DIR}/no/such/dir/x.json)
+       ablation_leaf_placement ${FIG} --json ${WORK_DIR}/no/such/dir/x.json)
 
 if(EXISTS /dev/full)
   foreach(flag --json --csv)
-    expect("fig8 ${flag} /dev/full" 1 "cannot write '/dev/full'"
-           fig8_degree_increase ${FIG} ${flag} /dev/full)
     expect("ablation_leaf_placement ${flag} /dev/full" 1
            "cannot write '/dev/full'"
            ablation_leaf_placement ${FIG} ${flag} /dev/full)
-    expect("sweep_cli ${flag} /dev/full" 1 "cannot write '/dev/full'"
-           sweep_cli ${FIG} --healers dash ${flag} /dev/full)
   endforeach()
 
   file(MAKE_DIRECTORY ${WORK_DIR}/hunt)

@@ -66,8 +66,16 @@ int main(int argc, char** argv) {
             << ", healer: " << net.healer().name() << "\n";
 
   // 4. Play it; the engine heals after every deletion and all
-  //    randomness comes from the seed stream.
-  const dash::api::Metrics result = net.play(scenario, rng);
+  //    randomness comes from the seed stream. A phase's attack is
+  //    built when the phase runs, so a bad attack parameter (say
+  //    'strike:rank:abcx3') surfaces here.
+  dash::api::Metrics result;
+  try {
+    result = net.play(scenario, rng);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "bad scenario: " << e.what() << "\n";
+    return 2;
+  }
 
   // 5. Report.
   std::cout << "\nafter " << result.deletions << " deletions and "

@@ -3,7 +3,7 @@
 // paper's protocol as events (remove / remove_batch / join / run /
 // play), and feeds a pluggable Observer pipeline.
 //
-// Every workload in this repository -- figure benches, the sweep CLI,
+// Every workload in this repository -- figure grids, the ablations,
 // the examples, the schedule-level tests -- drives this engine, almost
 // always through a declarative Scenario (api/scenario.h):
 //

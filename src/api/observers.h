@@ -57,7 +57,7 @@ struct InvariantOptions {
 /// connectivity tracker against a fresh BFS labelling
 /// (analysis::check_component_tracker), so every suite that attaches
 /// this observer differential-tests the engine's only connectivity
-/// path. Slow (integration tests switch it on, figure benches do not).
+/// path. Slow (integration tests switch it on, figure grids do not).
 class InvariantObserver final : public Observer {
  public:
   explicit InvariantObserver(InvariantOptions opts = {}) : opts_(opts) {}

@@ -3,7 +3,8 @@
 // All lookups go through one util::Registry instance; make_strategy is
 // a thin forwarder kept for source compatibility. Downstream code can
 // register its own strategies on healer_registry() and have them served
-// everywhere a spec string is accepted (api::Network, sweep_cli, ...).
+// everywhere a spec string is accepted (api::Network, grid healer lists,
+// ...).
 #pragma once
 
 #include <memory>

@@ -93,7 +93,7 @@ struct ExperimentSpec {
   std::size_t stretch_landmarks = 16;  ///< estimate mode: 1..64
   std::size_t stretch_pairs = 256;     ///< estimate mode: pairs/sample
   /// "display" labels cells with the healer's display name (figure
-  /// style); "spec" with the raw registry spec (sweep_cli style).
+  /// style); "spec" with the raw registry spec (for custom sweeps).
   std::string labels = "display";
 
   /// Parse the one-line form. Throws std::invalid_argument for unknown

@@ -274,20 +274,6 @@ TraversalScratch& local_scratch() {
 }
 }  // namespace
 
-std::vector<std::uint32_t> bfs_distances(const Graph& g, NodeId src) {
-  DASH_CHECK(g.alive(src));
-  TraversalScratch& scratch = local_scratch();
-  bfs_distances(g.flat_view(), src, scratch);
-  std::vector<std::uint32_t> dist(g.num_nodes(), kUnreachable);
-  for (NodeId v : scratch.visited()) dist[v] = scratch.distance(v);
-  return dist;
-}
-
-std::uint32_t bfs_distance(const Graph& g, NodeId src, NodeId dst) {
-  DASH_CHECK(g.alive(src) && g.alive(dst));
-  return point_distance(g.flat_view(), src, dst, local_scratch());
-}
-
 bool is_connected(const Graph& g) {
   return is_connected(g.flat_view(), local_scratch());
 }

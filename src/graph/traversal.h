@@ -126,14 +126,6 @@ void connected_components(const FlatView& view, TraversalScratch& scratch,
 
 // ---- legacy signatures (thin wrappers over the flat engine) ----------
 
-/// Single-source BFS distances over alive nodes. Entries for dead or
-/// unreachable nodes are kUnreachable. `src` must be alive.
-std::vector<std::uint32_t> bfs_distances(const Graph& g, NodeId src);
-
-/// Shortest-path distance between two alive nodes (kUnreachable if
-/// disconnected): point_distance on the graph's cached flat view.
-std::uint32_t bfs_distance(const Graph& g, NodeId src, NodeId dst);
-
 /// True if all alive nodes form a single connected component.
 /// Vacuously true for 0 or 1 alive nodes.
 bool is_connected(const Graph& g);

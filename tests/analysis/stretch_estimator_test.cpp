@@ -28,11 +28,17 @@ using graph::NodeId;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Exact hop distance on the healed graph (kUnreachable if split).
+std::uint32_t healed_distance(const Graph& healed, NodeId u, NodeId v) {
+  graph::TraversalScratch scratch;
+  return graph::point_distance(healed.flat_view(), u, v, scratch);
+}
+
 /// Exact stretch of one pair: BFS on the healed graph over the frozen
 /// time-0 denominator.
 double exact_stretch(const StretchTracker& tracker, const Graph& healed,
                      NodeId u, NodeId v) {
-  const std::uint32_t dt = graph::bfs_distance(healed, u, v);
+  const std::uint32_t dt = healed_distance(healed, u, v);
   if (dt == graph::kUnreachable) return kInf;
   return static_cast<double>(dt) /
          static_cast<double>(tracker.original_distance(u, v));
@@ -75,7 +81,7 @@ void run_containment_check(std::size_t n, std::size_t landmarks,
       EXPECT_GE(b.upper, truth - 1e-12)
           << "pair (" << b.u << "," << b.v << ")";
       // Distance bounds bracket the true distances too.
-      const std::uint32_t dt = graph::bfs_distance(healed, b.u, b.v);
+      const std::uint32_t dt = healed_distance(healed, b.u, b.v);
       EXPECT_LE(b.healed_lower, dt);
       EXPECT_GE(b.healed_upper, dt);
       const std::uint32_t d0 = tracker.original_distance(b.u, b.v);

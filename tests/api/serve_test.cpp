@@ -1,14 +1,12 @@
 // serve_test.cpp -- the concurrent serving engine (Network::serve):
 // epoch publication cadence, queries served from pinned snapshots
 // while play() mutates on another thread, the one-shot ServeReader
-// conveniences, and the AsyncSink half of the observer pipeline
-// (byte-identity vs the synchronous path, bounded-capacity stress,
-// flush barrier).
+// conveniences.
 //
 // The ServeGates tests are the serving engine's acceptance gates:
 // every reader cross-checks connected() against distance() on a
 // snapshot published during play, readers leave the mutation stream
-// and the async row pipeline byte-identical to a reader-free run, and
+// and the streamed row output byte-identical to a reader-free run, and
 // a 10^5-node churn with serving and estimate-mode stretch patches
 // every publish after the first two.
 #include <gtest/gtest.h>
@@ -23,7 +21,6 @@
 #include <thread>
 #include <vector>
 
-#include "api/async_sink.h"
 #include "api/network.h"
 #include "api/observers.h"
 #include "api/scenario.h"
@@ -240,10 +237,9 @@ struct ServedRun {
   std::vector<ReaderTally> readers;
 };
 
-/// One deterministic churn+heal run of `scenario` on BA(n). With
-/// `readers == 0` it is the reference: no serve(), rows written by a
-/// synchronous CsvStreamSink. Otherwise the network serves, rows go
-/// through AsyncSink(CsvStreamSink) with a tiny ring, and `readers`
+/// One deterministic churn+heal run of `scenario` on BA(n), its rows
+/// streamed by a CsvStreamSink. With `readers == 0` it is the
+/// reference: no serve(). Otherwise the network serves and `readers`
 /// threads cross-check every read on a fresh pin until play() has
 /// returned. Readers start late, as if descheduled, so only the
 /// ReaderBarrier puts their checks inside play.
@@ -252,13 +248,7 @@ ServedRun run_served(std::size_t n, const std::string& scenario,
   Network net(make_ba(n, 21), "dash", 21);
   std::ostringstream rows;
   CsvStreamSink csv(rows);
-  std::unique_ptr<AsyncSink> async;
-  if (readers == 0) {
-    net.add_observer(std::make_unique<SinkObserver>(csv));
-  } else {
-    async = std::make_unique<AsyncSink>(csv, 8);
-    net.add_observer(std::make_unique<SinkObserver>(*async));
-  }
+  net.add_observer(std::make_unique<SinkObserver>(csv));
 
   ServedRun run;
   run.readers.resize(readers);
@@ -320,7 +310,6 @@ ServedRun run_served(std::size_t n, const std::string& scenario,
   }
   play_returned.store(true, std::memory_order_release);
   for (std::thread& t : threads) t.join();
-  if (async) async->flush();
   csv.flush();
 
   std::ostringstream doc;
@@ -374,7 +363,7 @@ TEST(ServeGates, AsyncRowsUnderReadersMatchSynchronousRows) {
   for (const std::size_t readers : {1u, 4u}) {
     const ServedRun run = run_served(512, scenario, readers);
     EXPECT_EQ(run.rows_csv, reference.rows_csv)
-        << "async rows under " << readers << " readers differ";
+        << "rows under " << readers << " readers differ";
     for (const ReaderTally& tally : run.readers) {
       EXPECT_GE(tally.checks_in_play, 1u);
     }
@@ -417,90 +406,6 @@ TEST(ServeGates, HundredThousandNodesPatchEveryPublishAfterTheFirstTwo) {
   EXPECT_TRUE(std::isfinite(stretch.last_estimate().max_upper));
   EXPECT_GE(stretch.last_estimate().max_upper, 1.0);
   EXPECT_EQ(stretch.last_sample(), stretch.last_estimate().max_upper);
-}
-
-// ---- AsyncSink -------------------------------------------------------------
-
-/// Drive the same scenario into a synchronous CsvStreamSink and an
-/// AsyncSink-wrapped one; outputs must be byte-identical.
-TEST(AsyncSink, OutputByteIdenticalToSynchronousPath) {
-  const Scenario s = Scenario::parse("churn:0.3,0.1x100");
-
-  std::ostringstream sync_out;
-  {
-    Network net(make_ba(128), "dash", 9);
-    CsvStreamSink sink(sync_out);
-    net.add_observer(std::make_unique<SinkObserver>(sink));
-    Rng rng(6);
-    net.play(s, rng);
-    sink.flush();
-  }
-
-  std::ostringstream async_out;
-  {
-    Network net(make_ba(128), "dash", 9);
-    CsvStreamSink inner(async_out);
-    AsyncSink sink(inner, 8);  // tiny ring: force producer blocking
-    net.add_observer(std::make_unique<SinkObserver>(sink));
-    Rng rng(6);
-    net.play(s, rng);
-    sink.flush();
-  }
-
-  EXPECT_EQ(sync_out.str(), async_out.str());
-  EXPECT_FALSE(async_out.str().empty());
-}
-
-TEST(AsyncSink, PreservesOrderUnderCapacityPressure) {
-  MemorySink memory;
-  {
-    AsyncSink sink(memory, 2);  // rounds to capacity 2
-    RoundRow row;
-    for (int i = 0; i < 5000; ++i) {
-      row.round = static_cast<std::size_t>(i);
-      sink.on_row(row);
-    }
-    sink.flush();
-    EXPECT_EQ(memory.rows().size(), 5000u);
-    EXPECT_GE(sink.high_water(), 1u);
-    EXPECT_LE(sink.high_water(), sink.capacity());
-  }
-  for (std::size_t i = 0; i < memory.rows().size(); ++i) {
-    EXPECT_EQ(memory.rows()[i].round, i);
-  }
-}
-
-TEST(AsyncSink, FlushIsABarrier) {
-  MemorySink memory;
-  AsyncSink sink(memory, 1024);
-  RoundRow row;
-  for (int i = 0; i < 100; ++i) {
-    row.round = static_cast<std::size_t>(i);
-    sink.on_row(row);
-  }
-  sink.flush();
-  // After flush() returns every queued event reached the inner sink.
-  EXPECT_EQ(memory.rows().size(), 100u);
-}
-
-TEST(AsyncSink, DestructorDrainsOutstandingEvents) {
-  MemorySink memory;
-  {
-    AsyncSink sink(memory, 256);
-    RoundRow row;
-    for (int i = 0; i < 200; ++i) {
-      row.round = static_cast<std::size_t>(i);
-      sink.on_row(row);
-    }
-    // No flush: the destructor must deliver everything.
-  }
-  EXPECT_EQ(memory.rows().size(), 200u);
-}
-
-TEST(AsyncSink, NameReflectsInnerSink) {
-  MemorySink memory;
-  AsyncSink sink(memory, 4);
-  EXPECT_EQ(sink.name(), "async:" + memory.name());
 }
 
 }  // namespace

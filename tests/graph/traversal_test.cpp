@@ -10,33 +10,37 @@ namespace {
 
 TEST(Bfs, DistancesOnPath) {
   const Graph g = path_graph(5);
-  const auto dist = bfs_distances(g, 0);
-  for (NodeId v = 0; v < 5; ++v) EXPECT_EQ(dist[v], v);
+  TraversalScratch scratch;
+  EXPECT_EQ(bfs_distances(g.flat_view(), 0, scratch), 5u);
+  for (NodeId v = 0; v < 5; ++v) EXPECT_EQ(scratch.distance(v), v);
 }
 
 TEST(Bfs, UnreachableAndDeadNodes) {
   Graph g(4);
   g.add_edge(0, 1);
   g.add_edge(2, 3);
-  const auto dist = bfs_distances(g, 0);
-  EXPECT_EQ(dist[1], 1u);
-  EXPECT_EQ(dist[2], kUnreachable);
+  TraversalScratch scratch;
+  EXPECT_EQ(bfs_distances(g.flat_view(), 0, scratch), 2u);
+  EXPECT_EQ(scratch.distance(1), 1u);
+  EXPECT_EQ(scratch.distance(2), kUnreachable);
   g.delete_node(1);
-  const auto dist2 = bfs_distances(g, 0);
-  EXPECT_EQ(dist2[1], kUnreachable);
+  EXPECT_EQ(bfs_distances(g.flat_view(), 0, scratch), 1u);
+  EXPECT_EQ(scratch.distance(1), kUnreachable);
 }
 
 TEST(Bfs, PairDistanceEarlyExit) {
   const Graph g = cycle_graph(10);
-  EXPECT_EQ(bfs_distance(g, 0, 5), 5u);
-  EXPECT_EQ(bfs_distance(g, 0, 9), 1u);
-  EXPECT_EQ(bfs_distance(g, 3, 3), 0u);
+  TraversalScratch scratch;
+  EXPECT_EQ(point_distance(g.flat_view(), 0, 5, scratch), 5u);
+  EXPECT_EQ(point_distance(g.flat_view(), 0, 9, scratch), 1u);
+  EXPECT_EQ(point_distance(g.flat_view(), 3, 3, scratch), 0u);
 }
 
 TEST(Bfs, PairDistanceDisconnected) {
   Graph g(3);
   g.add_edge(0, 1);
-  EXPECT_EQ(bfs_distance(g, 0, 2), kUnreachable);
+  TraversalScratch scratch;
+  EXPECT_EQ(point_distance(g.flat_view(), 0, 2, scratch), kUnreachable);
 }
 
 TEST(Connectivity, DetectsDisconnect) {
@@ -80,10 +84,11 @@ TEST(AllPairs, MatchesSingleSource) {
   dash::util::Rng rng(99);
   const Graph g = barabasi_albert(40, 2, rng);
   const auto mat = all_pairs_distances(g);
+  TraversalScratch scratch;
   for (NodeId v = 0; v < g.num_nodes(); v += 7) {
-    const auto dist = bfs_distances(g, v);
+    bfs_distances(g.flat_view(), v, scratch);
     for (NodeId u = 0; u < g.num_nodes(); ++u) {
-      EXPECT_EQ(mat[v * g.num_nodes() + u], dist[u]);
+      EXPECT_EQ(mat[v * g.num_nodes() + u], scratch.distance(u));
     }
   }
 }

@@ -240,9 +240,12 @@ TEST(Hunt, SpoolWriteFailureFailsNamingTheSpool) {
   std::exit(rc);
 }
 
-/// Bytes in the spool header line the tiny hunt stamps.
-rlim_t spool_header_bytes() {
-  const std::string dir = scratch("spool_header");
+/// Bytes in the spool header line the tiny hunt stamps. Each caller
+/// passes its own tag: ctest runs every case as its own process, and a
+/// shared directory would let one case's cleanup land in the middle of
+/// another's hunt.
+rlim_t spool_header_bytes(const std::string& tag) {
+  const std::string dir = scratch(tag + "_header");
   run_hunt(tiny(dir));
   std::ifstream in(dir + "/spool.tsv");
   std::string header;
@@ -256,7 +259,7 @@ rlim_t spool_header_bytes() {
 // rewrite a resume makes of a spool longer than its header.
 
 TEST(Hunt, SpoolAppendFailureFailsNamingTheSpool) {
-  const rlim_t limit = spool_header_bytes() + 1;
+  const rlim_t limit = spool_header_bytes("spool_append") + 1;
   const std::string dir = scratch("spool_append");
   EXPECT_EXIT(hunt_with_file_size_limit(tiny(dir), limit),
               ::testing::ExitedWithCode(1),
@@ -265,7 +268,7 @@ TEST(Hunt, SpoolAppendFailureFailsNamingTheSpool) {
 }
 
 TEST(Hunt, SpoolResumeRewriteFailureFailsNamingTheSpool) {
-  const rlim_t limit = spool_header_bytes() + 1;
+  const rlim_t limit = spool_header_bytes("spool_rewrite") + 1;
   const std::string dir = scratch("spool_rewrite");
   run_hunt(tiny(dir));  // a full spool to resume from
   auto again = tiny(dir);

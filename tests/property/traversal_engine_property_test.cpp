@@ -7,9 +7,8 @@
 // -- max stretch exactly (same IEEE divisions), averages to rounding
 // (the fold order is documented), everything else structurally equal --
 // at every sampled round of a live healing run. The bidirectional
-// point_distance kernel (and the legacy bfs_distance wrapper over it)
-// must equal the legacy full BFS after every round and join, with the
-// suite run sequentially and on a ThreadPool.
+// point_distance kernel must equal the legacy full BFS after every
+// round and join, with the suite run sequentially and on a ThreadPool.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -221,7 +220,6 @@ class PointDistanceObserver final : public Observer {
         ++queries_;
         unreachable_ += want[v] == kUnreachable;
         mismatches_ += graph::point_distance(view, u, v, scratch_) != want[v];
-        mismatches_ += graph::bfs_distance(g, u, v) != want[v];
       }
     }
   }

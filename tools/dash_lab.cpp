@@ -17,6 +17,11 @@
 // --resume skips every cell already recorded, so an interrupted sweep
 // finishes from where it stopped instead of recomputing.
 //
+// The paper's figures are grids too (examples/fig8.spec for Figs. 8,
+// 9(a) and 9(b), examples/fig10.spec for Fig. 10): a run that computed
+// every cell itself prints their size x healer tables on stderr after
+// the progress lines (exp/figure.h; --quiet silences them).
+//
 // The replay verbs capture and re-execute single runs:
 //
 //   dash_lab record --healer dash --scenario paper-churn --n 128
@@ -56,6 +61,7 @@
 
 #include "api/scenario.h"
 #include "exp/chaos.h"
+#include "exp/figure.h"
 #include "exp/process.h"
 #include "exp/runner.h"
 #include "exp/spec.h"
@@ -369,7 +375,12 @@ int cmd_run(const LabOptions& opt) {
                    result.cell.scenario.c_str());
     }
   };
-  dash::exp::run(spec, ropt);
+  const auto results = dash::exp::run(spec, ropt);
+  if (!opt.quiet && ropt.shard.count == 1 && skip.empty()) {
+    std::ostringstream figures;  // one write, not one per table cell
+    dash::exp::print_grid_figures(figures, spec, results);
+    std::cerr << figures.str();
+  }
 
   if (rows_out.is_open()) {
     rows_out.close();
