@@ -11,13 +11,21 @@
 // per-node ratios read off each instance's final healing state through
 // the suite's inspect hook; the latency claims run on the distributed
 // simulator's standard max-degree schedule.
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <iostream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
-#include "figure_common.h"
-#include "graph/metrics.h"
+#include "api/api.h"
+#include "graph/generators.h"
 #include "sim/distributed_dash.h"
+#include "util/cli.h"
+#include "util/rng.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -44,78 +52,100 @@ double worst_message_ratio(const dash::core::HealingState& st,
 }  // namespace
 
 int main(int argc, char** argv) {
-  dash::bench::FigureOptions fo;
-  fo.instances = 5;
-  if (!fo.parse(argc, argv,
-                "Theorem 1 bound check: measured vs proven bounds")) {
-    return fo.help ? 0 : 2;
+  std::uint64_t instances = 5, seed = 0xDA5Bu, min_n = 64, max_n = 1024;
+  std::uint64_t ba_edges = 2, threads = 0;
+  std::string attack = "neighborofmax";
+  dash::util::Options opt(
+      "Theorem 1 bound check: measured vs proven bounds");
+  opt.add_uint("instances", &instances, "random graph instances per size");
+  opt.add_uint("seed", &seed, "base RNG seed");
+  opt.add_uint("min-n", &min_n, "smallest graph size");
+  opt.add_uint("max-n", &max_n, "largest graph size (doubling sweep)");
+  opt.add_uint("ba-edges", &ba_edges, "BA attachment edges per node");
+  opt.add_string("attack", &attack, "attack strategy");
+  opt.add_uint("threads", &threads,
+               "worker threads (0 = hardware concurrency)");
+  if (!opt.parse(argc, argv)) return opt.help_requested() ? 0 : 2;
+  std::vector<std::size_t> sizes;
+  try {
+    sizes = dash::util::doubling_sizes(min_n, max_n);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   }
 
-  std::cout << "\n== Theorem 1: measured / bound ratios (DASH, " << fo.attack
-            << " attack, " << fo.instances << " instances) ==\n\n";
-  dash::util::Table table({"n", "max_delta", "2log2n", "delta_ratio",
-                           "msg_ratio", "idchg_ratio", "reconnect_rounds",
-                           "mean_prop_rounds", "log2n"});
+  // A bad --attack ends the run with the named error, exit 2: an
+  // unknown name as the scenario is built, a bad parameter (rank:abc)
+  // once the first suite plays.
+  try {
+    const auto scenario = dash::api::Scenario().targeted(attack);
+    std::cout << "\n== Theorem 1: measured / bound ratios (DASH, " << attack
+              << " attack, " << instances << " instances) ==\n\n";
+    dash::util::Table table({"n", "max_delta", "2log2n", "delta_ratio",
+                             "msg_ratio", "idchg_ratio", "reconnect_rounds",
+                             "mean_prop_rounds", "log2n"});
+    dash::util::ThreadPool pool(static_cast<std::size_t>(threads));
+    const auto ba_m = static_cast<std::size_t>(ba_edges);
 
-  dash::util::ThreadPool pool(static_cast<std::size_t>(fo.threads));
-  const auto scenario = dash::api::Scenario().targeted(fo.attack);
+    for (std::size_t n : sizes) {
+      const double log2n = std::log2(static_cast<double>(n));
+      const double lnn = std::log(static_cast<double>(n));
 
-  for (std::size_t n : fo.sizes()) {
-    const double log2n = std::log2(static_cast<double>(n));
-    const double lnn = std::log(static_cast<double>(n));
+      // Engine bounds: one suite, ratios read via the inspect hook.
+      double worst_delta = 0, worst_msg = 0, worst_idchg = 0;
+      dash::api::SuiteConfig cfg;
+      cfg.make_graph = [n, ba_m](dash::util::Rng& rng) {
+        return dash::graph::barabasi_albert(n, ba_m, rng);
+      };
+      cfg.make_healer = dash::api::healer_factory("dash");
+      cfg.scenario = scenario;
+      cfg.instances = static_cast<std::size_t>(instances);
+      cfg.base_seed = seed ^ (n * 0x9E3779B97F4A7C15ULL);
+      cfg.inspect = [&](std::size_t, const dash::api::Network& net,
+                        const dash::api::Metrics& r) {
+        const auto& st = net.state();
+        worst_delta = std::max(
+            worst_delta, static_cast<double>(r.max_delta) / (2.0 * log2n));
+        worst_msg = std::max(worst_msg, worst_message_ratio(st, n));
+        worst_idchg = std::max(
+            worst_idchg,
+            static_cast<double>(st.max_id_changes()) / (2.0 * lnn));
+      };
+      dash::api::run_suite(cfg, pool);
 
-    // Engine bounds: one suite, ratios read via the inspect hook.
-    double worst_delta = 0, worst_msg = 0, worst_idchg = 0;
-    dash::api::SuiteConfig cfg;
-    const auto ba_m = static_cast<std::size_t>(fo.ba_edges);
-    cfg.make_graph = [n, ba_m](dash::util::Rng& rng) {
-      return dash::graph::barabasi_albert(n, ba_m, rng);
-    };
-    cfg.make_healer = dash::api::healer_factory("dash");
-    cfg.scenario = scenario;
-    cfg.instances = static_cast<std::size_t>(fo.instances);
-    cfg.base_seed = fo.seed ^ (n * 0x9E3779B97F4A7C15ULL);
-    cfg.inspect = [&](std::size_t, const dash::api::Network& net,
-                      const dash::api::Metrics& r) {
-      const auto& st = net.state();
-      worst_delta = std::max(
-          worst_delta, static_cast<double>(r.max_delta) / (2.0 * log2n));
-      worst_msg = std::max(worst_msg, worst_message_ratio(st, n));
-      worst_idchg =
-          std::max(worst_idchg,
-                   static_cast<double>(st.max_id_changes()) / (2.0 * lnn));
-    };
-    dash::api::run_suite(cfg, pool);
-
-    // Distributed latency measurements on fresh instances drawn from
-    // the same per-instance seed layout.
-    double max_reconnect = 0, mean_prop = 0;
-    for (std::size_t inst = 0; inst < fo.instances; ++inst) {
-      dash::util::Rng seeder(fo.seed ^ (n * 0x9E3779B97F4A7C15ULL));
-      dash::util::Rng rng = seeder.fork(inst + 1);
-      Graph g = dash::graph::barabasi_albert(n, ba_m, rng);
-      dash::sim::DistributedDashSim sim(std::move(g), rng);
-      dash::sim::run_max_degree_attack(sim);
-      for (auto rr : sim.metrics().reconnect_rounds) {
-        max_reconnect = std::max(max_reconnect, static_cast<double>(rr));
+      // Distributed latency measurements on fresh instances drawn from
+      // the same per-instance seed layout.
+      double max_reconnect = 0, mean_prop = 0;
+      for (std::size_t inst = 0; inst < instances; ++inst) {
+        dash::util::Rng seeder(seed ^ (n * 0x9E3779B97F4A7C15ULL));
+        dash::util::Rng rng = seeder.fork(inst + 1);
+        Graph g = dash::graph::barabasi_albert(n, ba_m, rng);
+        dash::sim::DistributedDashSim sim(std::move(g), rng);
+        dash::sim::run_max_degree_attack(sim);
+        for (auto rr : sim.metrics().reconnect_rounds) {
+          max_reconnect = std::max(max_reconnect, static_cast<double>(rr));
+        }
+        mean_prop = std::max(mean_prop,
+                             sim.metrics().mean_propagation_rounds());
       }
-      mean_prop = std::max(mean_prop,
-                           sim.metrics().mean_propagation_rounds());
-    }
 
-    table.begin_row()
-        .cell(std::to_string(n))
-        .cell(worst_delta * 2.0 * log2n, 1)
-        .cell(2.0 * log2n, 1)
-        .cell(worst_delta, 3)
-        .cell(worst_msg, 3)
-        .cell(worst_idchg, 3)
-        .cell(max_reconnect, 0)
-        .cell(mean_prop, 2)
-        .cell(log2n, 2);
-    std::fprintf(stderr, "  done n=%zu\n", n);
+      table.begin_row()
+          .cell(std::to_string(n))
+          .cell(worst_delta * 2.0 * log2n, 1)
+          .cell(2.0 * log2n, 1)
+          .cell(worst_delta, 3)
+          .cell(worst_msg, 3)
+          .cell(worst_idchg, 3)
+          .cell(max_reconnect, 0)
+          .cell(mean_prop, 2)
+          .cell(log2n, 2);
+      std::fprintf(stderr, "  done n=%zu\n", n);
+    }
+    table.print(std::cout);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   }
-  table.print(std::cout);
   std::cout << "\ndelta_ratio is a deterministic bound and must stay "
                "<= 1.0.\nmsg_ratio and idchg_ratio are with-high-"
                "probability bounds: expect ~<= 1.0, with small "

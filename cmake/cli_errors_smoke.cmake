@@ -1,9 +1,9 @@
 # cli_errors_smoke.cmake -- the CLI error paths, run as a ctest: a bad
 # healer name exits 2 listing the registered healers, a bad size sweep
-# exits 2 naming the flag, and an output file that cannot be written
-# (/dev/full, a missing directory, a hunt artifact symlinked to
-# /dev/full) exits 1 with "cannot write" instead of reporting it
-# written.
+# or attack exits 2 naming it, an unknown flag exits 2, and an output
+# file that cannot be written (a missing directory, a hunt artifact
+# symlinked to /dev/full) exits 1 with "cannot write" instead of
+# reporting it written.
 #
 #   cmake -DBIN_DIR=<dir with the binaries> -DWORK_DIR=<scratch dir>
 #         -P cli_errors_smoke.cmake
@@ -50,18 +50,23 @@ expect("quickstart --scenario strike:rank:abcx3" 2
        "bad scenario: .*rank"
        quickstart --n 32 --scenario strike:rank:abcx3)
 
-set(FIG --min-n 16 --max-n 16 --instances 1)
-expect("ablation_leaf_placement --json to a missing directory" 1
+# thm1_bounds' --attack fails by name, not with an uncaught exception,
+# and it takes no output-file flags (it writes its table to stdout).
+expect("thm1_bounds --attack bogus" 2 "error: unknown attack 'bogus'"
+       thm1_bounds --min-n 16 --max-n 16 --instances 1 --attack bogus)
+expect("thm1_bounds --attack rank:abc" 2
+       "error: bad parameter for 'rank': 'abc'"
+       thm1_bounds --min-n 16 --max-n 16 --instances 1 --attack rank:abc)
+expect("thm1_bounds --json" 2 "unknown option '--json'"
+       thm1_bounds --json x)
+
+set(GRID "n=16 healer=dash scenario=targeted:neighborofmax instances=1")
+expect("dash_lab run --json to a missing directory" 1
        "cannot write '${WORK_DIR}/no/such/dir/x.json'"
-       ablation_leaf_placement ${FIG} --json ${WORK_DIR}/no/such/dir/x.json)
+       dash_lab run --grid ${GRID} --quiet
+       --json ${WORK_DIR}/no/such/dir/x.json)
 
 if(EXISTS /dev/full)
-  foreach(flag --json --csv)
-    expect("ablation_leaf_placement ${flag} /dev/full" 1
-           "cannot write '/dev/full'"
-           ablation_leaf_placement ${FIG} ${flag} /dev/full)
-  endforeach()
-
   file(MAKE_DIRECTORY ${WORK_DIR}/hunt)
   file(CREATE_LINK /dev/full ${WORK_DIR}/hunt/HUNT_probe.json SYMBOLIC)
   expect("hunt with an unwritable leaderboard" 1

@@ -20,8 +20,8 @@ class SdashStrategy final : public HealingStrategy {
   /// 0 is the paper's rule. Positive slack makes surrogation fire more
   /// often, trading bounded extra degree (at most `slack` above the
   /// set's max) for lower stretch -- an extension probing the paper's
-  /// open problem of provable path-length control; see the
-  /// ablation_surrogate_slack bench for the measured trade-off.
+  /// open problem of provable path-length control; see
+  /// examples/ablation_surrogate_slack.spec for the measured trade-off.
   explicit SdashStrategy(std::uint32_t surrogate_slack = 0)
       : slack_(surrogate_slack) {}
 

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <ostream>
 #include <string>
 
 #include "api/suite.h"
+#include "util/ascii_plot.h"
 #include "util/check.h"
 #include "util/table.h"
 
@@ -13,7 +15,7 @@ namespace dash::exp {
 
 namespace {
 
-/// One paper figure over a grid: the per-node metric it plots and the
+/// One figure over a grid: the per-node metric it plots and the
 /// reference curve it is read against (none when `reference` is null).
 struct FigureMetric {
   const char* title;
@@ -38,6 +40,12 @@ constexpr FigureMetric kGridFigures[] = {
        return static_cast<double>(m.max_messages_sent);
      },
      nullptr, nullptr},
+    {"Healing edges added vs graph size (total over the schedule)",
+     "edges_added",
+     [](const api::Metrics& m) {
+       return static_cast<double>(m.edges_added);
+     },
+     nullptr, nullptr},
     {"Figure 10: max stretch vs graph size (max over sampled rounds)",
      "max_stretch", [](const api::Metrics& m) { return m.max_stretch; },
      "log2(n)", [](double n) { return std::log2(n); }},
@@ -52,8 +60,10 @@ std::size_t slot(std::vector<T>& list, const T& value) {
   return list.size() - 1;
 }
 
-}  // namespace
-
+/// Print one figure: rows = `sizes`, one column per series (two
+/// decimals), then one column per reference curve, then the series
+/// (not the references) as an ASCII plot when there are two or more
+/// sizes. Every series and reference holds one value per size.
 void print_figure(std::ostream& out, const std::vector<std::size_t>& sizes,
                   const std::vector<util::Series>& series,
                   const std::vector<util::Series>& references) {
@@ -80,6 +90,8 @@ void print_figure(std::ostream& out, const std::vector<std::size_t>& sizes,
   util::ascii_plot(out, x_labels, series);
 }
 
+}  // namespace
+
 void print_grid_figures(std::ostream& out, const ExperimentSpec& spec,
                         const std::vector<CellResult>& results) {
   // One figure set per (family, scenario), in enumeration order; rows
@@ -100,7 +112,8 @@ void print_grid_figures(std::ostream& out, const ExperimentSpec& spec,
   }
 
   // Fig. 10 (last in kGridFigures) only when the grid samples stretch.
-  const std::size_t figures = spec.stretch_every > 0 ? 4 : 3;
+  const std::size_t figures =
+      std::size(kGridFigures) - (spec.stretch_every > 0 ? 0 : 1);
   for (const Group& group : groups) {
     std::vector<std::size_t> sizes;
     std::vector<std::string> healers;
