@@ -1,6 +1,6 @@
 // micro_core.cpp -- google-benchmark microbenchmarks of the data
 // structures on the healing hot path: graph mutation, BFS (full and
-// point-to-point), union-find, generators, one DASH heal step, full
+// point-to-point), generators, one DASH heal step, full
 // schedules per size, the engine's per-round connectivity cost, and the
 // incremental-connectivity tracker vs a BFS scan per check.
 #include <benchmark/benchmark.h>
@@ -14,7 +14,6 @@
 #include "graph/dynamic_connectivity.h"
 #include "graph/generators.h"
 #include "graph/traversal.h"
-#include "graph/union_find.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -120,21 +119,6 @@ BENCHMARK(BM_StretchSample)
     ->Args({4096, 0})
     ->Args({4096, 4})
     ->Unit(benchmark::kMicrosecond);
-
-void BM_UnionFind(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(3);
-  for (auto _ : state) {
-    dash::graph::UnionFind uf(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      uf.unite(static_cast<NodeId>(rng.below(n)),
-               static_cast<NodeId>(rng.below(n)));
-    }
-    benchmark::DoNotOptimize(uf.num_sets());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_UnionFind)->Arg(4096);
 
 void BM_BarabasiAlbert(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -180,8 +180,9 @@ class Network {
   /// (component count, largest size) in one ask.
   std::pair<std::size_t, std::size_t> component_snapshot() const;
 
-  /// The engine's tracker, for instrumentation (rebuild counters) and
-  /// the battery's cross-check; never null.
+  /// The engine's tracker, for instrumentation (rebuild counters), the
+  /// battery's cross-check and the serving snapshots' component labels;
+  /// never null.
   const graph::DynamicConnectivity* connectivity_tracker() const {
     return &tracker_;
   }

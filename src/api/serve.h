@@ -2,9 +2,11 @@
 // *while* churn and healing mutate the graph.
 //
 // Network::serve() attaches an engine-owned publisher observer that
-// pushes an immutable graph::Snapshot (CSR view + component labels)
-// into a graph::SnapshotStore after every round/join (configurable
-// cadence). Reader threads each hold a ServeReader and answer
+// pushes an immutable graph::Snapshot (CSR view + a copy of the
+// engine's DynamicConnectivity labels, so a publish never relabels the
+// graph) into a graph::SnapshotStore after every round/join
+// (configurable cadence). Reader threads each hold a ServeReader and
+// answer
 //
 //   connected(u, v)        O(1) from the pinned labels
 //   distance(u, v)         bidirectional BFS on the pinned CSR arrays,

@@ -109,10 +109,15 @@ AgentReport run_agent(const exp::ExperimentSpec& spec,
                                                       1));
   AgentReport report;
   while (true) {
-    if (!ch.send(make_claim())) {
+    // A failed claim send alone does not mean the coordinator vanished:
+    // one that finished may have queued a SHUTDOWN before hanging up, so
+    // read the frames that already arrived before giving up.
+    const bool claimed = ch.send(make_claim());
+    std::optional<Message> m = ch.recv();
+    while (!claimed && m && m->type == MessageType::kHeartbeat) m = ch.recv();
+    if (!claimed && (!m || m->type != MessageType::kShutdown)) {
       throw std::runtime_error("coordinator vanished (claim send failed)");
     }
-    std::optional<Message> m = ch.recv();
     if (!m) {
       throw std::runtime_error(
           "coordinator vanished (connection closed while waiting for a "

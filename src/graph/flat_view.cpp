@@ -8,8 +8,8 @@ namespace dash::graph {
 
 void FlatView::rebuild(const Graph& g) {
   const std::size_t n = g.num_nodes();
-  offsets_ = g.offset_;
-  degrees_ = g.degree_;
+  rows_.resize(n);
+  for (NodeId v = 0; v < n; ++v) rows_[v] = {g.offset_[v], g.degree_[v]};
   edges_ = g.slab_;
   edge_entries_ = 2 * g.num_edges();
   alive_.clear();
@@ -63,11 +63,8 @@ bool FlatView::try_patch(const Graph& g) {
 
   // Mirror growth (node ids and the slab only ever extend; resize keeps
   // every untouched prefix byte in place).
-  const std::size_t old_n = degrees_.size();
-  if (n > old_n) {
-    offsets_.resize(n, 0);
-    degrees_.resize(n, 0);
-  }
+  const std::size_t old_n = rows_.size();
+  if (n > old_n) rows_.resize(n, Row{0, 0});
   if (edges_.size() < g.slab_.size()) edges_.resize(g.slab_.size());
 
   died_scratch_.clear();
@@ -80,11 +77,10 @@ bool FlatView::try_patch(const Graph& g) {
     if (was_alive != now_alive) {
       (now_alive ? born_scratch_ : died_scratch_).push_back(v);
     }
-    const std::uint32_t old_deg = degrees_[v];
+    const std::uint32_t old_deg = rows_[v].degree;
     const std::uint32_t new_deg = g.degree_[v];
     const std::uint32_t off = g.offset_[v];
-    offsets_[v] = off;
-    degrees_[v] = new_deg;
+    rows_[v] = {off, new_deg};
     std::copy(g.slab_.begin() + off, g.slab_.begin() + off + new_deg,
               edges_.begin() + off);
     edge_entries_ += new_deg;

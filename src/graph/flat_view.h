@@ -1,6 +1,6 @@
-// flat_view.h -- CSR-style snapshot of a Graph's alive subgraph: flat
-// offset/degree arrays plus one packed neighbor array, the
-// cache-friendly layout every hot traversal runs on.
+// flat_view.h -- CSR-style snapshot of a Graph's alive subgraph: one
+// flat array of per-vertex {offset, degree} rows plus one packed
+// neighbor array, the cache-friendly layout every hot traversal runs on.
 //
 // A FlatView is a *snapshot*: it is stamped with the generation of the
 // Graph it was built from and must be refreshed after any mutation. The
@@ -62,19 +62,26 @@ class FlatView {
   void refresh(const Graph& g);
 
   /// Node-id space of the snapshot (alive + dead, like Graph).
-  std::size_t num_nodes() const { return degrees_.size(); }
+  std::size_t num_nodes() const { return rows_.size(); }
   std::size_t num_alive() const { return alive_.size(); }
 
   /// Packed sorted neighbors of v (empty for dead nodes).
   std::span<const NodeId> neighbors(NodeId v) const {
-    return {edges_.data() + offsets_[v], degrees_[v]};
+    const Row row = rows_[v];
+    return {edges_.data() + row.offset, row.degree};
   }
 
   /// Total directed adjacency entries (2m) -- the BFS direction
   /// heuristic budgets against it.
   std::size_t num_edge_entries() const { return edge_entries_; }
 
-  std::size_t degree(NodeId v) const { return degrees_[v]; }
+  std::size_t degree(NodeId v) const { return rows_[v].degree; }
+
+  /// Start loading v's neighbor list ahead of a neighbors(v) call, so a
+  /// traversal over a cold view overlaps its adjacency misses.
+  void prefetch_neighbors(NodeId v) const {
+    __builtin_prefetch(edges_.data() + rows_[v].offset);
+  }
 
   /// Alive node ids, ascending -- cached at refresh, so per-sample
   /// consumers (the stretch tracker) stop re-allocating the list.
@@ -98,8 +105,14 @@ class FlatView {
   std::uint64_t generation_ = 0;
   std::uint64_t graph_uid_ = 0;  ///< instance the mirror tracks
   std::uint64_t log_seq_ = 0;    ///< touched-log position last synced
-  std::vector<std::uint32_t> offsets_;  ///< per-vertex slab offsets
-  std::vector<std::uint32_t> degrees_;
+  /// A vertex's slab offset and degree side by side: neighbors(v) on a
+  /// cold view then misses once, not twice, and a degree(v) read
+  /// already loads the offset its later expansion needs.
+  struct Row {
+    std::uint32_t offset;
+    std::uint32_t degree;
+  };
+  std::vector<Row> rows_;
   std::vector<NodeId> edges_;  ///< slab mirror (gaps where blocks are free)
   std::size_t edge_entries_ = 0;  ///< 2m, maintained incrementally
   std::vector<NodeId> alive_;     ///< alive ids, ascending

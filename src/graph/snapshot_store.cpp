@@ -42,7 +42,8 @@ std::optional<std::uint32_t> Snapshot::distance(
 
 SnapshotStore::~SnapshotStore() = default;
 
-std::uint64_t SnapshotStore::publish(const Graph& g) {
+std::uint64_t SnapshotStore::publish(const Graph& g,
+                                     const DynamicConnectivity& tracker) {
   std::unique_ptr<Snapshot> next;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -67,7 +68,12 @@ std::uint64_t SnapshotStore::publish(const Graph& g) {
     ++patched_publishes_;
     touched_vertices_ += next->view_.vertices_patched() - touched_before;
   }
-  connected_components(next->view_, scratch_, next->comps_);
+  const std::vector<std::uint32_t>& labels = tracker.labels();
+  DASH_CHECK_MSG(labels.size() == g.num_nodes(),
+                 "publish: the tracker does not follow this graph");
+  next->labels_.assign(labels.begin(), labels.end());
+  next->component_count_ = tracker.component_count();
+  next->largest_component_ = tracker.largest_component();
 
   // Publication order matters: snapshot pointer first, epoch second
   // (see the proof sketch above).

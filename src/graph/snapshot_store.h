@@ -1,16 +1,16 @@
 // snapshot_store.h -- epoch-published immutable CSR snapshots for
 // concurrent serving: the mutation thread publishes a frozen FlatView
-// (plus its component labelling) at epoch N while the live Graph keeps
-// mutating toward N+1, and any number of reader threads answer
-// connectivity/distance queries from a *pinned* epoch without taking a
-// lock on the read path.
+// (plus a copy of the connectivity tracker's component labels) at
+// epoch N while the live Graph keeps mutating toward N+1, and any
+// number of reader threads answer connectivity/distance queries from a
+// *pinned* epoch without taking a lock on the read path.
 //
 // Reclamation is epoch-based: each reader owns a cheap per-thread slot
 // holding the epoch it has pinned (or kNoEpoch). publish() retires the
 // previous snapshot and frees every retired snapshot whose epoch is
 // below the minimum pinned epoch -- so a snapshot's buffers live
 // exactly as long as some reader can still see it, and freed snapshots
-// are recycled (their FlatView/Components buffers are reused by later
+// are recycled (their FlatView and label buffers are reused by later
 // publishes, the same buffer-reuse discipline FlatView::rebuild has).
 //
 // Thread contract:
@@ -38,6 +38,7 @@
 #include <optional>
 #include <vector>
 
+#include "graph/dynamic_connectivity.h"
 #include "graph/flat_view.h"
 #include "graph/traversal.h"
 
@@ -47,18 +48,21 @@ class Graph;
 class SnapshotStore;
 
 /// One published epoch: a frozen CSR view of the alive subgraph plus
-/// its component labelling (computed once at publish time, so
+/// the component labels, count and largest size the connectivity
+/// tracker held at publish time (copied, never recomputed, so
 /// connected()/largest_component() are O(1) per query). Immutable after
 /// publication; safe to read from any number of threads while pinned.
 class Snapshot {
  public:
   std::uint64_t epoch() const { return epoch_; }
   const FlatView& view() const { return view_; }
-  const Components& components() const { return comps_; }
+  /// Per node id: the tracker's component label (equal labels <=> same
+  /// component; kInvalidComponent for dead nodes). Not dense.
+  const std::vector<std::uint32_t>& labels() const { return labels_; }
 
   std::size_t num_alive() const { return view_.num_alive(); }
-  std::size_t component_count() const { return comps_.count(); }
-  std::size_t largest_component() const { return comps_.largest(); }
+  std::size_t component_count() const { return component_count_; }
+  std::size_t largest_component() const { return largest_component_; }
 
   /// True when v is alive in this snapshot. Binary search over the
   /// ascending alive list -- deliberately independent of the component
@@ -69,9 +73,9 @@ class Snapshot {
   /// Same component in this snapshot? O(1) via the labels; false when
   /// either endpoint is dead or out of the snapshot's id range.
   bool connected(NodeId u, NodeId v) const {
-    if (u >= comps_.label.size() || v >= comps_.label.size()) return false;
-    const std::uint32_t lu = comps_.label[u];
-    return lu != kInvalidComponent && lu == comps_.label[v];
+    if (u >= labels_.size() || v >= labels_.size()) return false;
+    const std::uint32_t lu = labels_[u];
+    return lu != kInvalidComponent && lu == labels_[v];
   }
 
   /// Exact hop distance via a bidirectional BFS on the snapshot
@@ -86,7 +90,9 @@ class Snapshot {
   friend class SnapshotStore;
   std::uint64_t epoch_ = 0;
   FlatView view_;
-  Components comps_;
+  std::vector<std::uint32_t> labels_;
+  std::size_t component_count_ = 0;
+  std::size_t largest_component_ = 0;
 };
 
 /// Publishes snapshots and reclaims retired ones once unpinned.
@@ -107,9 +113,11 @@ class SnapshotStore {
 
   /// Build and publish a snapshot of g's current alive subgraph as the
   /// next epoch, retire the previous snapshot, and free every retired
-  /// snapshot no reader pins. Mutation thread only. Returns the new
-  /// epoch (first publish returns 1).
-  std::uint64_t publish(const Graph& g);
+  /// snapshot no reader pins. `tracker` must follow g's mutations (as
+  /// api::Network's does); the snapshot copies its flushed labels,
+  /// component count and largest size. Mutation thread only. Returns
+  /// the new epoch (first publish returns 1).
+  std::uint64_t publish(const Graph& g, const DynamicConnectivity& tracker);
 
   /// Epoch of the most recent publish; 0 before the first.
   std::uint64_t epoch() const {
@@ -155,9 +163,8 @@ class SnapshotStore {
   std::atomic<std::uint64_t> epoch_{0};
 
   /// Writer-thread state: ownership of the currently published
-  /// snapshot and the scratch used for publish-time labelling.
+  /// snapshot.
   std::unique_ptr<Snapshot> current_owned_;
-  TraversalScratch scratch_;
   std::size_t full_publishes_ = 0;
   std::size_t patched_publishes_ = 0;
   std::size_t touched_vertices_ = 0;

@@ -209,6 +209,9 @@ std::uint32_t point_distance(const FlatView& view, NodeId src, NodeId dst,
     const std::uint32_t next = me.depth + 1;
     std::size_t degree = 0;
     for (std::size_t i = me.level_start; i < level_end; ++i) {
+      // Serving snapshots are mostly cold when a query arrives; loading
+      // the adjacency a few frontier nodes ahead overlaps those misses.
+      if (i + 4 < level_end) view.prefetch_neighbors(me.queue[i + 4]);
       for (NodeId y : view.neighbors(me.queue[i])) {
         if (me.stamp[y] == epoch) continue;
         if (other.stamp[y] == epoch) return next + other.dist[y];

@@ -3,7 +3,8 @@
 // document (and rows CSV) a sequential exp::run produces -- through
 // handshake rejections, silent agents whose leases expire, duplicate
 // results, checkpoint/resume, an agent SIGKILLed mid-cell, agents left
-// in the accept backlog, and a spool that stops taking writes.
+// in the accept backlog, a coordinator that hangs up right after its
+// SHUTDOWN, and a spool that stops taking writes.
 #include "fleet/coordinator.h"
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -484,6 +486,47 @@ TEST(Fleet, FinishedRunHangsUpOnAgentsStillInTheAcceptBacklog) {
   pollfd pfd{late.fd(), POLLIN, 0};
   ASSERT_EQ(::poll(&pfd, 1, 10000), 1);
   EXPECT_FALSE(late.recv().has_value());
+}
+
+TEST(Fleet, AgentReadsAShutdownQueuedBeforeTheCoordinatorHungUp) {
+  // A coordinator that finished sends SHUTDOWN and closes before the
+  // agent's first claim: the claim send fails, yet the run ended
+  // cleanly, so the agent must return the shutdown, not throw.
+  const auto spec = fleet_spec();
+  const std::string dir = fresh_state_dir("hangup");
+  std::filesystem::create_directories(dir);
+  Listener listener(Endpoint::parse("unix:" + dir + "/coordinator.sock"));
+  std::promise<void> hung_up;
+  std::thread coordinator([&] {
+    // Release the agent however this side ends (after `ch` closes).
+    struct Release {
+      std::promise<void>& done;
+      ~Release() { done.set_value(); }
+    } release{hung_up};
+    pollfd pfd{listener.fd(), POLLIN, 0};
+    ASSERT_EQ(::poll(&pfd, 1, 10000), 1);
+    Channel ch = listener.accept();
+    const auto hello = ch.recv();
+    ASSERT_TRUE(hello.has_value());
+    EXPECT_EQ(hello->type, MessageType::kHello);
+    EXPECT_TRUE(ch.send(make_welcome(spec.enumerate().size(),
+                                     /*heartbeat_ms=*/60000, false)));
+    EXPECT_TRUE(ch.send(make_shutdown("run complete")));
+    ch.close();
+  });
+
+  AgentOptions opt;
+  opt.connect = listener.endpoint().spec();
+  opt.name = "late";
+  // The "joined" line comes after WELCOME and before the first claim:
+  // hold the agent there until the coordinator has hung up.
+  std::shared_future<void> closed = hung_up.get_future().share();
+  opt.progress = [closed](const std::string&) { closed.wait(); };
+  AgentReport report;
+  EXPECT_NO_THROW(report = run_agent(spec, opt));
+  coordinator.join();
+  EXPECT_EQ(report.shutdown_reason, "run complete");
+  EXPECT_EQ(report.cells_done, 0u);
 }
 
 TEST(Fleet, SpoolWriteFailureFailsTheServeNamingTheSpool) {

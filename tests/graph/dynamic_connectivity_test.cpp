@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "../test_helpers.h"
 #include "graph/generators.h"
 #include "graph/traversal.h"
 #include "util/rng.h"
@@ -38,6 +39,12 @@ using dash::util::Rng;
     return ::testing::AssertionFailure()
            << "connected() " << dc.connected() << " != BFS "
            << is_connected(g);
+  }
+  const ::testing::AssertionResult labels =
+      dash::testing::same_partition(dc.labels(), truth);
+  if (!labels) {
+    return ::testing::AssertionFailure()
+           << "labels(): " << labels.message();
   }
   std::vector<NodeId> rep(truth.count(), kInvalidNode);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -110,12 +117,56 @@ TEST(DynamicConnectivity, EdgeInsertionMerges) {
   dc.edge_added(1, 2);
   EXPECT_TRUE(dc.connected());
   EXPECT_EQ(dc.largest_component(), 4u);
-  EXPECT_EQ(dc.rebuilds(), 0u);  // insert-only: pure union-find
+  EXPECT_EQ(dc.rebuilds(), 0u);  // insert-only: pure label merges
+}
+
+TEST(DynamicConnectivity, MergeRelabelsTheSmallerSide) {
+  // {0,1,2} absorbs the singleton {3}: the singleton takes the larger
+  // side's label, whichever endpoint the edge names first.
+  Graph g = path_graph(3);
+  const NodeId v = g.add_node();
+  DynamicConnectivity dc(g);
+  const std::uint32_t big = dc.labels()[0];
+  g.add_edge(v, 2);
+  dc.edge_added(v, 2);
+  EXPECT_EQ(dc.labels()[v], big);
+  EXPECT_EQ(dc.labels()[0], big);
+  EXPECT_EQ(dc.component_size(v), 4u);
+  EXPECT_TRUE(matches_truth(dc, g));
+}
+
+TEST(DynamicConnectivity, HistogramStepsStayConstantPerGiantComponentOp) {
+  // Deleting from, or joining into, the giant component changes the
+  // largest size by one. The histogram adds the new size before it
+  // drops the old one, so its maximum never walks down from ~n: at most
+  // one step per operation, and none per merge.
+  constexpr std::size_t kNodes = 20000;
+  constexpr std::size_t kOps = 10000;
+  Graph g = path_graph(kNodes);
+  DynamicConnectivity dc(g);
+  const std::size_t before = dc.histogram_steps();
+  NodeId oldest = 0;
+  auto newest = static_cast<NodeId>(kNodes - 1);
+  for (std::size_t i = 0; i < kOps; ++i) {
+    // A path end has one survivor, so the deletion cannot split.
+    const auto survivors = g.delete_node(oldest);
+    dc.node_removed(oldest, survivors, /*may_split=*/true);
+    ++oldest;
+    const NodeId joined = g.add_node();
+    dc.node_added(joined);
+    g.add_edge(joined, newest);
+    dc.edge_added(joined, newest);
+    newest = joined;
+  }
+  EXPECT_LE(dc.histogram_steps() - before, 2 * kOps);
+  EXPECT_EQ(dc.rebuilds(), 0u);
+  EXPECT_EQ(dc.largest_component(), kNodes);
+  EXPECT_TRUE(matches_truth(dc, g));
 }
 
 TEST(DynamicConnectivity, CertifiedDeletionSkipsRescan) {
   // Triangle: deleting any corner leaves the other two adjacent, so the
-  // caller can certify no split -- the O(alpha) fast path.
+  // caller can certify no split -- the O(1) fast path.
   Graph g(3);
   g.add_edge(0, 1);
   g.add_edge(1, 2);
@@ -142,6 +193,7 @@ TEST(DynamicConnectivity, UncertifiedDeletionRescansAffectedComponent) {
   EXPECT_EQ(dc.largest_component(), 1u);
   EXPECT_EQ(dc.rebuilds(), 1u);
   EXPECT_EQ(dc.nodes_rescanned(), 4u);  // only the affected component
+  EXPECT_TRUE(matches_truth(dc, g));    // one fresh label per leaf
 }
 
 TEST(DynamicConnectivity, SingleSurvivorNeverSplits) {
@@ -412,7 +464,7 @@ TEST(DynamicConnectivityDifferential, ThousandRandomSchedules) {
 TEST(DynamicConnectivityDifferential, HealingLikeScheduleStaysCertified) {
   // Emulates what the engine does on a healing run: delete a node, wire
   // its survivors back into a path (all certifiable), and confirm the
-  // tracker never rebuilds -- the whole run is O(alpha) per round.
+  // tracker never rebuilds -- no round pays a re-scan.
   Rng rng(77);
   Graph g = barabasi_albert(128, 2, rng);
   DynamicConnectivity dc(g);

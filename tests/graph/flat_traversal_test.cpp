@@ -8,6 +8,7 @@
 #include <deque>
 #include <gtest/gtest.h>
 
+#include "graph/dynamic_connectivity.h"
 #include "graph/generators.h"
 #include "graph/snapshot_store.h"
 #include "graph/traversal.h"
@@ -348,8 +349,9 @@ TEST(PointDistance, SnapshotHandlesDeadAndOutOfRangeEndpoints) {
   Rng rng(17);
   Graph g = barabasi_albert(200, 2, rng);
   fragment(g, 70, rng);
+  const DynamicConnectivity tracker(g);
   SnapshotStore store;
-  store.publish(g);
+  store.publish(g, tracker);
   SnapshotStore::Reader reader = store.make_reader();
   SnapshotStore::Pin pin = reader.pin();
   TraversalScratch scratch;

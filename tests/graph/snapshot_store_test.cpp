@@ -1,12 +1,15 @@
 // snapshot_store_test.cpp -- epoch publication, pin-based reclamation,
-// buffer recycling, and a concurrent publish/read stress with the
-// label-vs-BFS torn-read cross-check.
+// buffer recycling, labels copied from the connectivity tracker, and a
+// concurrent publish/read stress with the label-vs-BFS torn-read
+// cross-check.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
 #include <vector>
 
+#include "../test_helpers.h"
+#include "graph/dynamic_connectivity.h"
 #include "graph/generators.h"
 #include "graph/snapshot_store.h"
 #include "graph/traversal.h"
@@ -23,19 +26,45 @@ Graph path_graph(std::size_t n) {
   return g;
 }
 
+/// A graph and the connectivity tracker that follows it, mutated in
+/// step the way api::Network keeps them; publish() hands both over.
+struct Tracked {
+  explicit Tracked(Graph graph) : g(std::move(graph)), dc(g) {}
+  Tracked(const Tracked&) = delete;
+  Tracked& operator=(const Tracked&) = delete;
+
+  void delete_node(NodeId v) {
+    dc.node_removed(v, g.delete_node(v), /*may_split=*/true);
+  }
+  NodeId add_node() {
+    const NodeId v = g.add_node();
+    dc.node_added(v);
+    return v;
+  }
+  void add_edge(NodeId a, NodeId b) {
+    if (g.add_edge(a, b)) dc.edge_added(a, b);
+  }
+  std::uint64_t publish(SnapshotStore& store) const {
+    return store.publish(g, dc);
+  }
+
+  Graph g;
+  DynamicConnectivity dc;
+};
+
 TEST(SnapshotStore, EpochsAdvancePerPublish) {
-  Graph g = path_graph(8);
+  const Tracked t(path_graph(8));
   SnapshotStore store;
   EXPECT_EQ(store.epoch(), 0u);
-  EXPECT_EQ(store.publish(g), 1u);
-  EXPECT_EQ(store.publish(g), 2u);
+  EXPECT_EQ(t.publish(store), 1u);
+  EXPECT_EQ(t.publish(store), 2u);
   EXPECT_EQ(store.epoch(), 2u);
 }
 
 TEST(SnapshotStore, SnapshotAnswersFromPublishTimeState) {
-  Graph g = path_graph(6);
+  Tracked t(path_graph(6));
   SnapshotStore store;
-  store.publish(g);
+  t.publish(store);
 
   SnapshotStore::Reader reader = store.make_reader();
   TraversalScratch scratch;
@@ -47,13 +76,13 @@ TEST(SnapshotStore, SnapshotAnswersFromPublishTimeState) {
     EXPECT_EQ(pin->distance(0, 5, scratch), std::uint32_t{5});
 
     // Mutate after publish: the pinned snapshot must not notice.
-    g.delete_node(3);
+    t.delete_node(3);
     EXPECT_TRUE(pin->connected(0, 5));
     EXPECT_TRUE(pin->alive(3));
   }
 
   // The next publish sees the cut.
-  store.publish(g);
+  t.publish(store);
   SnapshotStore::Pin fresh = reader.pin();
   EXPECT_EQ(fresh->epoch(), 2u);
   EXPECT_FALSE(fresh->connected(0, 5));
@@ -63,42 +92,49 @@ TEST(SnapshotStore, SnapshotAnswersFromPublishTimeState) {
   EXPECT_EQ(fresh->largest_component(), 3u);
 }
 
-TEST(SnapshotStore, PinBlocksReclamationUntilReleased) {
-  Graph g = path_graph(4);
+TEST(SnapshotStoreDeathTest, PublishRefusesATrackerOfAnotherGraph) {
+  const Tracked small(path_graph(4));
+  const Graph other = path_graph(6);
   SnapshotStore store;
-  store.publish(g);
+  EXPECT_DEATH(store.publish(other, small.dc), "tracker");
+}
+
+TEST(SnapshotStore, PinBlocksReclamationUntilReleased) {
+  const Tracked t(path_graph(4));
+  SnapshotStore store;
+  t.publish(store);
 
   SnapshotStore::Reader reader = store.make_reader();
   {
     SnapshotStore::Pin pin = reader.pin();
     EXPECT_EQ(pin->epoch(), 1u);
-    store.publish(g);  // retires epoch 1, but the pin protects it
+    t.publish(store);  // retires epoch 1, but the pin protects it
     EXPECT_EQ(store.retired_pending(), 1u);
     EXPECT_EQ(store.live_snapshots(), 2u);
     EXPECT_EQ(pin->epoch(), 1u);  // still readable
   }
   // Unpinned now; the next publish reclaims it.
-  store.publish(g);
+  t.publish(store);
   EXPECT_EQ(store.retired_pending(), 0u);
   EXPECT_EQ(store.live_snapshots(), 1u);
 }
 
 TEST(SnapshotStore, FreedSnapshotsAreRecycledNotReallocated) {
-  Graph g = path_graph(16);
+  const Tracked t(path_graph(16));
   SnapshotStore store;
-  store.publish(g);
+  t.publish(store);
   // No pins: every publish retires the predecessor and immediately
   // frees it, so the allocated set stays at one live snapshot (plus
   // the recycled buffer the next publish reuses).
-  for (int i = 0; i < 50; ++i) store.publish(g);
+  for (int i = 0; i < 50; ++i) t.publish(store);
   EXPECT_EQ(store.live_snapshots(), 1u);
   EXPECT_EQ(store.retired_pending(), 0u);
 }
 
 TEST(SnapshotStore, ReaderSlotsAreRecycled) {
-  Graph g = path_graph(4);
+  const Tracked t(path_graph(4));
   SnapshotStore store;
-  store.publish(g);
+  t.publish(store);
   { SnapshotStore::Reader r = store.make_reader(); }
   { SnapshotStore::Reader r = store.make_reader(); }
   { SnapshotStore::Reader r = store.make_reader(); }
@@ -113,9 +149,9 @@ TEST(SnapshotStore, ConcurrentPublishAndReadStress) {
   // and cross-checking label connectivity against BFS reachability on
   // every pin. Any disagreement within one pin is a torn read.
   Rng rng(7);
-  Graph g = barabasi_albert(256, 2, rng);
+  Tracked t(barabasi_albert(256, 2, rng));
   SnapshotStore store;
-  store.publish(g);
+  t.publish(store);
 
   constexpr int kReaders = 4;
   std::atomic<bool> stop{false};
@@ -144,15 +180,15 @@ TEST(SnapshotStore, ConcurrentPublishAndReadStress) {
 
   Rng mut(99);
   for (int i = 0; i < 400; ++i) {
-    const NodeId victim = static_cast<NodeId>(mut.below(g.num_nodes()));
-    if (g.alive(victim) && g.num_alive() > 8) {
-      g.delete_node(victim);
+    const NodeId victim = static_cast<NodeId>(mut.below(t.g.num_nodes()));
+    if (t.g.alive(victim) && t.g.num_alive() > 8) {
+      t.delete_node(victim);
     } else {
-      const NodeId fresh = g.add_node();
+      const NodeId fresh = t.add_node();
       const NodeId anchor = static_cast<NodeId>(mut.below(fresh));
-      if (g.alive(anchor)) g.add_edge(fresh, anchor);
+      if (t.g.alive(anchor)) t.add_edge(fresh, anchor);
     }
-    store.publish(g);
+    t.publish(store);
   }
   stop.store(true, std::memory_order_relaxed);
   for (auto& t : threads) t.join();
@@ -160,39 +196,48 @@ TEST(SnapshotStore, ConcurrentPublishAndReadStress) {
   EXPECT_EQ(torn.load(), 0u);
   EXPECT_EQ(store.epoch(), 401u);
   // All pins released: one more publish sweeps the retired list.
-  store.publish(g);
+  t.publish(store);
   EXPECT_EQ(store.retired_pending(), 0u);
 }
 
 TEST(SnapshotStore, RecycledSnapshotsPatchForwardNotRebuild) {
   // With no pins held, publishes ping-pong between two buffers; each
   // recycled buffer carries the CSR of its last epoch and only has to
-  // patch two epochs' worth of touched vertices forward.
+  // patch two epochs' worth of touched vertices forward, while its
+  // labels are copied whole from the tracker.
   Rng rng(11);
-  Graph g = barabasi_albert(512, 2, rng);
+  Tracked t(barabasi_albert(512, 2, rng));
   SnapshotStore store;
-  store.publish(g);  // first publish on a fresh buffer: full rebuild
+  t.publish(store);  // first publish on a fresh buffer: full rebuild
   EXPECT_EQ(store.full_publishes(), 1u);
 
   SnapshotStore::Reader reader = store.make_reader();
   TraversalScratch scratch;
   TraversalScratch ref_scratch;
-  std::vector<NodeId> alive = g.alive_nodes();
+  std::vector<NodeId> alive = t.g.alive_nodes();
   for (int i = 0; i < 40; ++i) {
     const std::size_t at = static_cast<std::size_t>(rng.below(alive.size()));
-    g.delete_node(alive[at]);
+    t.delete_node(alive[at]);
     alive.erase(alive.begin() + static_cast<std::ptrdiff_t>(at));
-    store.publish(g);
+    t.publish(store);
 
     // The published snapshot answers from the patched CSR; cross-check
     // a pair against a full single-source BFS on the live graph (a
     // different kernel than the bidirectional point query).
     SnapshotStore::Pin pin = reader.pin();
     EXPECT_EQ(pin->num_alive(), alive.size());
+    // Its labels, count and largest size are the tracker's, flushed at
+    // publish, and induce the BFS partition of the patched view.
+    EXPECT_EQ(pin->labels(), t.dc.labels());
+    Components truth;
+    connected_components(pin->view(), scratch, truth);
+    EXPECT_TRUE(dash::testing::same_partition(pin->labels(), truth));
+    EXPECT_EQ(pin->component_count(), truth.count());
+    EXPECT_EQ(pin->largest_component(), truth.largest());
     const NodeId u = alive[static_cast<std::size_t>(rng.below(alive.size()))];
     const NodeId v = alive[static_cast<std::size_t>(rng.below(alive.size()))];
     const auto via_snapshot = pin->distance(u, v, scratch);
-    bfs_distances(g.flat_view(), u, ref_scratch);
+    bfs_distances(t.g.flat_view(), u, ref_scratch);
     const std::uint32_t direct = ref_scratch.distance(v);
     if (direct == kUnreachable) {
       EXPECT_FALSE(via_snapshot.has_value());

@@ -8,7 +8,10 @@
 // that keep the network connected (dash, graph) as well as one that
 // lets it shatter (none). The engine answers from its incremental
 // DynamicConnectivity tracker only, so this suite is the tracker's
-// end-to-end differential test.
+// end-to-end differential test. A serving leg republishes the network
+// (every event, and every third) and checks that each published
+// snapshot's labels -- copied from the tracker -- induce the partition
+// a BFS finds on that snapshot's own CSR view.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,8 +21,10 @@
 #include <string>
 #include <vector>
 
+#include "../test_helpers.h"
 #include "api/api.h"
 #include "api/scenario.h"
+#include "api/serve.h"
 #include "graph/generators.h"
 #include "graph/traversal.h"
 #include "util/thread_pool.h"
@@ -73,6 +78,55 @@ class BfsReference final : public Observer {
     const auto [count, largest] = net.component_snapshot();
     return {count, largest, connected};
   }
+};
+
+/// Runs right after the serve publisher: pins every epoch it lands and
+/// compares the snapshot's labels, count and largest size with a BFS
+/// labelling of the snapshot's CSR view.
+class PublishedLabelCheck final : public Observer {
+ public:
+  explicit PublishedLabelCheck(ServeHandle& serve) : serve_(serve) {}
+  std::string name() const override { return "published-labels"; }
+
+  void on_attach(const Network&) override { check(); }
+  void on_round_end(const Network&, const RoundEvent&) override { check(); }
+  void on_join(const Network&, const JoinEvent&) override { check(); }
+  void on_finish(const Network&, Metrics&) override { check(); }
+
+  /// Publishes checked, and the first mismatch found (empty if none).
+  std::size_t checked = 0;
+  std::string failure;
+
+ private:
+  void check() {
+    if (serve_.epoch() == last_epoch_) return;
+    last_epoch_ = serve_.epoch();
+    // A fresh reader per check: one kept here would outlive the
+    // ServeHandle, which the Network destroys before its observers.
+    ServeReader reader = serve_.reader();
+    const ServePin pin = reader.pin();
+    const graph::Snapshot& snap = pin.snapshot();
+    graph::connected_components(snap.view(), scratch_, truth_);
+    ++checked;
+    if (!failure.empty()) return;
+    const std::string at = "epoch " + std::to_string(snap.epoch()) + ": ";
+    const ::testing::AssertionResult same =
+        dash::testing::same_partition(snap.labels(), truth_);
+    if (!same) {
+      failure = at + same.message();
+    } else if (snap.component_count() != truth_.count()) {
+      failure = at + "count " + std::to_string(snap.component_count()) +
+                " != BFS " + std::to_string(truth_.count());
+    } else if (snap.largest_component() != truth_.largest()) {
+      failure = at + "largest " + std::to_string(snap.largest_component()) +
+                " != BFS " + std::to_string(truth_.largest());
+    }
+  }
+
+  ServeHandle& serve_;
+  std::uint64_t last_epoch_ = 0;
+  graph::TraversalScratch scratch_;
+  graph::Components truth_;
 };
 
 void expect_structures_eq(const std::vector<Structure>& want,
@@ -129,13 +183,20 @@ struct RunResult {
   /// Per instance: the reference's and the engine's event sequences.
   std::vector<std::vector<Structure>> truth;
   std::vector<std::vector<Structure>> engine;
+  /// Per instance, when served: publishes checked, first label mismatch.
+  std::vector<std::size_t> publishes_checked;
+  std::vector<std::string> label_failure;
 };
 
+/// `publish_every` > 0 serves the network at that cadence with a
+/// PublishedLabelCheck behind the publisher; 0 does not serve.
 RunResult run_config(const std::string& spec, const std::string& healer,
-                     bool parallel) {
+                     bool parallel, std::size_t publish_every = 0) {
   RunResult out;
   out.truth.resize(kInstances);
   out.engine.resize(kInstances);
+  out.publishes_checked.resize(kInstances);
+  out.label_failure.resize(kInstances);
   MemorySink rows;
 
   SuiteConfig cfg;
@@ -148,9 +209,15 @@ RunResult run_config(const std::string& spec, const std::string& healer,
   cfg.scenario = Scenario::parse(spec);
   cfg.sinks = {&rows};
   cfg.record_rows = true;
-  cfg.configure = [](Network& net) {
+  cfg.configure = [publish_every](Network& net) {
     net.add_observer(std::make_unique<BfsReference>());
     net.add_observer(std::make_unique<InvariantObserver>());
+    if (publish_every > 0) {
+      ServeOptions opts;
+      opts.publish_every = publish_every;
+      net.add_observer(
+          std::make_unique<PublishedLabelCheck>(net.serve(opts)));
+    }
   };
   cfg.inspect = [&out](std::size_t i, const Network& net, const Metrics&) {
     const auto* ref =
@@ -158,6 +225,11 @@ RunResult run_config(const std::string& spec, const std::string& healer,
     ASSERT_NE(ref, nullptr);
     out.truth[i] = ref->truth;
     out.engine[i] = ref->engine;
+    if (const auto* labels = dynamic_cast<const PublishedLabelCheck*>(
+            net.find_observer("published-labels"))) {
+      out.publishes_checked[i] = labels->checked;
+      out.label_failure[i] = labels->failure;
+    }
   };
 
   if (parallel) {
@@ -234,6 +306,23 @@ TEST_P(ConnectivityProperty, TrackerMatchesBfsSequentialAndParallel) {
       EXPECT_EQ(m.violation, want_violation) << inst;
     }
     EXPECT_EQ(row, seq.rows.size()) << what;
+
+    // The serving leg: sequential with a publish after every event,
+    // pooled with one every third. Serving changes no result, and every
+    // publish (attach, cadence, finish) carries the BFS partition.
+    for (const std::size_t every : {std::size_t{1}, std::size_t{3}}) {
+      const std::string leg = what + " publish_every=" + std::to_string(every);
+      const RunResult served = run_config(spec, healer, every != 1, every);
+      ASSERT_EQ(served.metrics.size(), kInstances) << leg;
+      expect_rows_eq(seq.rows, served.rows, leg);
+      for (std::size_t i = 0; i < kInstances; ++i) {
+        const std::string inst = leg + " instance " + std::to_string(i);
+        expect_metrics_eq(seq.metrics[i], served.metrics[i], inst);
+        const std::size_t events = seq.truth[i].size() - 1;
+        EXPECT_EQ(served.publishes_checked[i], 2 + events / every) << inst;
+        EXPECT_EQ(served.label_failure[i], "") << inst;
+      }
+    }
   }
 }
 

@@ -1,15 +1,21 @@
 // test_helpers.h -- shared machinery for schedule-level tests: run an
 // attack/heal schedule on the api::Network engine with the full
-// invariant battery plugged in, failing loudly on any violation.
+// invariant battery plugged in, failing loudly on any violation; and
+// compare a component labelling with a BFS reference partition.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <memory>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "api/api.h"
 #include "graph/generators.h"
+#include "graph/traversal.h"
 #include "util/rng.h"
 
 namespace dash::testing {
@@ -46,6 +52,46 @@ inline api::Metrics run_checked(graph::Graph g, const RunSpec& spec) {
   EXPECT_TRUE(result.stayed_connected)
       << spec.healer << " lost connectivity under " << spec.attack;
   return result;
+}
+
+/// `labels` (per node id; kInvalidComponent for dead nodes; any other
+/// values, compared only for equality) must induce exactly the
+/// partition of the BFS labelling `truth`: dead where it is dead, one
+/// label per BFS component, and no label shared by two components.
+inline ::testing::AssertionResult same_partition(
+    const std::vector<std::uint32_t>& labels,
+    const graph::Components& truth) {
+  if (labels.size() != truth.label.size()) {
+    return ::testing::AssertionFailure()
+           << labels.size() << " labels for " << truth.label.size()
+           << " node ids";
+  }
+  std::vector<std::uint32_t> label_of(truth.count(), graph::kInvalidComponent);
+  std::unordered_map<std::uint32_t, std::uint32_t> component_of;
+  for (std::size_t v = 0; v < labels.size(); ++v) {
+    const std::uint32_t want = truth.label[v];
+    const std::uint32_t got = labels[v];
+    if (want == graph::kInvalidComponent || got == graph::kInvalidComponent) {
+      if (want != got) {
+        const bool dead = want == graph::kInvalidComponent;
+        return ::testing::AssertionFailure()
+               << "node " << v << " is " << (dead ? "dead" : "alive")
+               << " but " << (dead ? "labelled" : "unlabelled");
+      }
+      continue;
+    }
+    if (label_of[want] == graph::kInvalidComponent) label_of[want] = got;
+    if (label_of[want] != got) {
+      return ::testing::AssertionFailure()
+             << "node " << v << " splits from its BFS component";
+    }
+    const auto [it, fresh] = component_of.emplace(got, want);
+    if (!fresh && it->second != want) {
+      return ::testing::AssertionFailure()
+             << "node " << v << " shares a label with another component";
+    }
+  }
+  return ::testing::AssertionSuccess();
 }
 
 }  // namespace dash::testing
